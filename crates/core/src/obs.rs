@@ -21,13 +21,6 @@ pub static POI_STAYS: Counter = Counter::new();
 pub static POI_PLANAR_CERTIFIED: Counter = Counter::new();
 /// Planar radius decisions that fell back to the exact spherical metric.
 pub static POI_PLANAR_REFINED: Counter = Counter::new();
-/// Full 8-lane chunks evaluated by the SoA spread kernel (each chunk's
-/// lane arithmetic was computed in one vectorizable pass).
-pub static POI_SIMD_CHUNKS: Counter = Counter::new();
-/// Fixes the SoA spread kernel evaluated one-at-a-time outside the
-/// chunks: the first-fix scalar prologue plus the tail left over when the
-/// remaining window length is not a multiple of the lane width.
-pub static POI_SIMD_TAIL: Counter = Counter::new();
 /// His_bin chi-square profile comparisons evaluated.
 pub static HISBIN_COMPARES: Counter = Counter::new();
 /// Fixes pushed through streaming extraction engines. Batch `extract*`
@@ -89,16 +82,6 @@ pub fn register() {
             "core.poi.planar_refined_total",
             "planar radius decisions refined via the exact metric",
             &POI_PLANAR_REFINED,
-        );
-        register_counter(
-            "core.poi.simd_lanes_chunks_total",
-            "full lane chunks evaluated by the SoA spread kernel",
-            &POI_SIMD_CHUNKS,
-        );
-        register_counter(
-            "core.poi.simd_scalar_tail_total",
-            "fixes evaluated in the SoA spread kernel's scalar prologue/tail",
-            &POI_SIMD_TAIL,
         );
         register_counter(
             "core.hisbin.compares_total",

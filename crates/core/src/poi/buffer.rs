@@ -26,7 +26,7 @@ use std::collections::VecDeque;
 /// evaluating the n-scaled planar filter (analysed in
 /// [`backwatch_geo::projection`]); still nine orders of magnitude below
 /// the 50 m PoI radius.
-pub(crate) const PLANAR_ABS_SLACK_M: f64 = 1e-6;
+const PLANAR_ABS_SLACK_M: f64 = 1e-6;
 
 /// A point the centroid buffers can hold: a timestamp, a geographic
 /// position, and a (possibly accelerated) radius decision against a
@@ -76,23 +76,19 @@ impl BufferPoint for TracePoint {
 /// extraction pass via [`PlanarCtx::flush_decision_counts`].
 #[derive(Debug, Clone)]
 pub struct PlanarCtx {
-    pub(crate) metric: Metric,
-    pub(crate) anchor_lat: f64,
-    pub(crate) anchor_lon: f64,
-    pub(crate) m_per_deg_lat: f64,
-    pub(crate) m_per_deg_lon: f64,
+    metric: Metric,
+    anchor_lat: f64,
+    anchor_lon: f64,
+    m_per_deg_lat: f64,
+    m_per_deg_lon: f64,
     /// Certified |planar − equirectangular| error per meter of planar east
     /// separation; `+inf` routes every decision to the exact fallback
     /// (Haversine metric, or a trace outside the projection's envelope).
-    pub(crate) slack_per_dx: f64,
+    slack_per_dx: f64,
     /// Decisions settled by the certified planar filter this pass.
-    pub(crate) certified: LocalCounter,
+    certified: LocalCounter,
     /// Decisions that fell back to the exact metric this pass.
-    pub(crate) refined: LocalCounter,
-    /// Full lane chunks evaluated by the SoA spread kernel this pass.
-    pub(crate) simd_chunks: LocalCounter,
-    /// Fixes evaluated in the SoA spread kernel's scalar tail this pass.
-    pub(crate) simd_tail: LocalCounter,
+    refined: LocalCounter,
 }
 
 impl PlanarCtx {
@@ -128,8 +124,6 @@ impl PlanarCtx {
             slack_per_dx,
             certified: LocalCounter::new(),
             refined: LocalCounter::new(),
-            simd_chunks: LocalCounter::new(),
-            simd_tail: LocalCounter::new(),
         }
     }
 
@@ -139,13 +133,6 @@ impl PlanarCtx {
         (self.certified.get(), self.refined.get())
     }
 
-    /// The pass's `(full chunks, scalar-tail fixes)` SoA kernel tallies so
-    /// far (zero on the scalar path).
-    #[must_use]
-    pub fn simd_counts(&self) -> (u64, u64) {
-        (self.simd_chunks.get(), self.simd_tail.get())
-    }
-
     /// Adds this pass's decision tallies to the shared
     /// `core.poi.planar_certified_total` / `core.poi.planar_refined_total`
     /// counters and zeroes the local cells. Called once per extraction
@@ -153,8 +140,6 @@ impl PlanarCtx {
     pub fn flush_decision_counts(&self) {
         self.certified.flush_into(&crate::obs::POI_PLANAR_CERTIFIED);
         self.refined.flush_into(&crate::obs::POI_PLANAR_REFINED);
-        self.simd_chunks.flush_into(&crate::obs::POI_SIMD_CHUNKS);
-        self.simd_tail.flush_into(&crate::obs::POI_SIMD_TAIL);
     }
 }
 
@@ -380,112 +365,6 @@ impl<P: BufferPoint> CentroidBuffer<P> {
         while self.span_secs() > max_span.get() {
             self.pop_front();
         }
-    }
-}
-
-/// The FIFO-window interface the streaming state machine drives: exactly
-/// the operations [`super::streaming::StreamingExtractor`] performs on its
-/// entry/exit windows, abstracted so the window's *storage layout* can
-/// change without touching the state machine.
-///
-/// Two implementations exist: [`CentroidBuffer`] (array-of-structs, a
-/// `VecDeque` of points — the scalar oracle) and
-/// [`super::soa::SoaPlanarWindow`] (struct-of-arrays columns feeding the
-/// chunked vectorizable spread kernel). The differential suites in
-/// `tests/planar_equivalence.rs` pin the two bit-identical.
-pub trait Window: Default {
-    /// The point representation the window buffers.
-    type Point: BufferPoint;
-
-    /// Appends a point (updating the running lat/lon sums).
-    fn push(&mut self, p: Self::Point);
-
-    /// Removes and returns the oldest point (downdating the sums).
-    fn pop_front(&mut self) -> Option<Self::Point>;
-
-    /// Number of buffered points.
-    fn len(&self) -> usize;
-
-    /// Whether the window is empty.
-    fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// The raw running `(lat, lon)` sums, rounding residue included (see
-    /// [`CentroidBuffer::sums`]).
-    fn sums(&self) -> (f64, f64);
-
-    /// Time span covered by the window, seconds (0 for < 2 points).
-    fn span_secs(&self) -> i64;
-
-    /// Decides `spread ≤ radius` against the window's own centroid,
-    /// bit-identical to [`CentroidBuffer::is_within_spread`]: every point's
-    /// decision is exact-or-certified and evaluation stops at the first
-    /// point found outside the radius.
-    fn is_within_spread(&self, radius: Meters, ctx: &<Self::Point as BufferPoint>::Ctx) -> bool;
-
-    /// Visits every buffered point oldest-first (used by checkpoint
-    /// serialization).
-    fn for_each_point(&self, f: impl FnMut(&Self::Point));
-
-    /// Rebuilds a window from checkpointed parts, trusting `sum_lat`/
-    /// `sum_lon` to be the captured running sums for `points` (including
-    /// their rounding residue). Only checkpoint restore may bypass the
-    /// incremental bookkeeping.
-    fn from_raw_parts(points: Vec<Self::Point>, sum_lat: f64, sum_lon: f64) -> Self;
-
-    /// Drops points from the front until the window spans at most
-    /// `max_span`.
-    fn trim_to_span(&mut self, max_span: Seconds) {
-        while self.span_secs() > max_span.get() {
-            self.pop_front();
-        }
-    }
-}
-
-impl<P: BufferPoint> Window for CentroidBuffer<P> {
-    type Point = P;
-
-    fn push(&mut self, p: P) {
-        CentroidBuffer::push(self, p);
-    }
-
-    fn pop_front(&mut self) -> Option<P> {
-        CentroidBuffer::pop_front(self)
-    }
-
-    fn len(&self) -> usize {
-        CentroidBuffer::len(self)
-    }
-
-    fn is_empty(&self) -> bool {
-        CentroidBuffer::is_empty(self)
-    }
-
-    fn sums(&self) -> (f64, f64) {
-        CentroidBuffer::sums(self)
-    }
-
-    fn span_secs(&self) -> i64 {
-        CentroidBuffer::span_secs(self)
-    }
-
-    fn is_within_spread(&self, radius: Meters, ctx: &P::Ctx) -> bool {
-        CentroidBuffer::is_within_spread(self, radius, ctx)
-    }
-
-    fn for_each_point(&self, mut f: impl FnMut(&P)) {
-        for p in &self.points {
-            f(p);
-        }
-    }
-
-    fn from_raw_parts(points: Vec<P>, sum_lat: f64, sum_lon: f64) -> Self {
-        CentroidBuffer::from_raw_parts(points, sum_lat, sum_lon)
-    }
-
-    fn trim_to_span(&mut self, max_span: Seconds) {
-        CentroidBuffer::trim_to_span(self, max_span);
     }
 }
 

@@ -15,8 +15,7 @@
 //! radius, i.e. only hours-long stays survive, exactly the degradation the
 //! paper measures in Figure 3.
 
-use super::buffer::{BufferPoint, CentroidBuffer, PlanarCtx, Window};
-use super::soa::SoaPlanarWindow;
+use super::buffer::{BufferPoint, CentroidBuffer, PlanarCtx};
 use super::streaming::StreamingExtractor;
 use backwatch_geo::distance::Metric;
 use backwatch_geo::{LatLon, Meters, Seconds};
@@ -152,7 +151,7 @@ impl SpatioTemporalExtractor {
     /// Extracts all PoI visits from `trace`, in chronological order.
     #[must_use]
     pub fn extract(&self, trace: &Trace) -> Vec<Stay> {
-        self.run::<_, CentroidBuffer<_>, _>(trace.iter().copied(), &self.params.metric)
+        self.run(trace.iter().copied(), &self.params.metric)
     }
 
     /// Planar fast path: extracts from a trace that was projected once
@@ -165,42 +164,40 @@ impl SpatioTemporalExtractor {
     #[must_use]
     pub fn extract_projected(&self, projected: &ProjectedTrace) -> Vec<Stay> {
         let ctx = PlanarCtx::new(projected, self.params.metric);
-        let stays = self.run::<_, CentroidBuffer<_>, _>(projected.points().iter().copied(), &ctx);
+        let stays = self.run(projected.points().iter().copied(), &ctx);
         ctx.flush_decision_counts();
         stays
     }
 
-    /// Data-oriented fast path: extracts from a column-layout
-    /// [`SoaProjectedTrace`], driving the chunked vectorizable spread
-    /// kernel (see [`super::soa`]) instead of the point-at-a-time scalar
-    /// check. **Bit-identical** to [`SpatioTemporalExtractor::extract`] /
-    /// [`extract_projected`](Self::extract_projected) on the same trace,
-    /// including the certified/refined telemetry tallies — the differential
-    /// suites in `tests/planar_equivalence.rs` pin both.
+    /// Planar fast path over a column-layout [`SoaProjectedTrace`]: the
+    /// same engine and window as
+    /// [`extract_projected`](Self::extract_projected), fed from the
+    /// columns. **Bit-identical** to [`SpatioTemporalExtractor::extract`]
+    /// on the same trace, including the certified/refined telemetry
+    /// tallies — the differential suites in `tests/planar_equivalence.rs`
+    /// pin both.
     #[must_use]
     pub fn extract_soa(&self, soa: &SoaProjectedTrace) -> Vec<Stay> {
         let ctx = PlanarCtx::for_soa(soa, self.params.metric);
-        let stays = self.run::<_, SoaPlanarWindow, _>(soa.iter(), &ctx);
+        let stays = self.run(soa.iter(), &ctx);
         ctx.flush_decision_counts();
         stays
     }
 
-    /// SoA twin of [`extract_sampled`](Self::extract_sampled): the chunked
-    /// kernel over a downsampled view, bit-identical to the scalar path.
+    /// Column-layout twin of [`extract_sampled`](Self::extract_sampled).
     #[must_use]
     pub fn extract_sampled_soa(&self, soa: &SoaProjectedTrace, indices: &[u32]) -> Vec<Stay> {
         let ctx = PlanarCtx::for_soa(soa, self.params.metric);
-        let stays = self.run::<_, SoaPlanarWindow, _>(soa.sampled(indices), &ctx);
+        let stays = self.run(soa.sampled(indices), &ctx);
         ctx.flush_decision_counts();
         stays
     }
 
-    /// SoA twin of [`extract_rotated`](Self::extract_rotated): the chunked
-    /// kernel over a rotated view, bit-identical to the scalar path.
+    /// Column-layout twin of [`extract_rotated`](Self::extract_rotated).
     #[must_use]
     pub fn extract_rotated_soa(&self, soa: &SoaProjectedTrace, start: usize) -> Vec<Stay> {
         let ctx = PlanarCtx::for_soa(soa, self.params.metric);
-        let stays = self.run::<_, SoaPlanarWindow, _>(soa.rotated_from(start), &ctx);
+        let stays = self.run(soa.rotated_from(start), &ctx);
         ctx.flush_decision_counts();
         stays
     }
@@ -213,7 +210,7 @@ impl SpatioTemporalExtractor {
     #[must_use]
     pub fn extract_sampled(&self, projected: &ProjectedTrace, indices: &[u32]) -> Vec<Stay> {
         let ctx = PlanarCtx::new(projected, self.params.metric);
-        let stays = self.run::<_, CentroidBuffer<_>, _>(projected.sampled(indices), &ctx);
+        let stays = self.run(projected.sampled(indices), &ctx);
         ctx.flush_decision_counts();
         stays
     }
@@ -223,25 +220,19 @@ impl SpatioTemporalExtractor {
     #[must_use]
     pub fn extract_rotated(&self, projected: &ProjectedTrace, start: usize) -> Vec<Stay> {
         let ctx = PlanarCtx::new(projected, self.params.metric);
-        let stays = self.run::<_, CentroidBuffer<_>, _>(projected.rotated_from(start), &ctx);
+        let stays = self.run(projected.rotated_from(start), &ctx);
         ctx.flush_decision_counts();
         stays
     }
 
     /// Batch extraction, generic over the point representation (raw
-    /// lat/lon or projected planar) and the window layout (scalar
-    /// [`CentroidBuffer`] or column-stored [`SoaPlanarWindow`]): drives the
-    /// streaming engine ([`StreamingExtractor`]) over the iterator and
-    /// collects its incremental emissions. Delegating — rather than keeping
-    /// a second copy of the three-buffer state machine — is what makes the
+    /// lat/lon or projected planar): drives the streaming engine
+    /// ([`StreamingExtractor`]) over the iterator and collects its
+    /// incremental emissions. Delegating — rather than keeping a second
+    /// copy of the three-buffer state machine — is what makes the
     /// streaming/batch differential guarantee hold by construction.
-    fn run<P, W, I>(&self, points: I, ctx: &P::Ctx) -> Vec<Stay>
-    where
-        P: BufferPoint,
-        W: Window<Point = P>,
-        I: Iterator<Item = P>,
-    {
-        let mut engine: StreamingExtractor<P, W> = StreamingExtractor::new(self.params);
+    fn run<P: BufferPoint>(&self, points: impl Iterator<Item = P>, ctx: &P::Ctx) -> Vec<Stay> {
+        let mut engine: StreamingExtractor<P> = StreamingExtractor::new(self.params);
         let mut stays = Vec::new();
         for point in points {
             if let Some(stay) = engine.push_with(point, ctx) {

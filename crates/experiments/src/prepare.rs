@@ -58,8 +58,7 @@ fn prepare_one(cfg: &ExperimentConfig, user_idx: u32) -> UserData {
     let extractor = SpatioTemporalExtractor::new(cfg.params);
     let user = generate_user(&cfg.synth, user_idx);
 
-    // Project the trace into the local tangent plane once, in the
-    // column-major (SoA) layout the chunked spread kernel wants; every
+    // Project the trace into the local tangent plane once; every
     // extraction below — full rate, each interval, the rotated variant —
     // reuses it.
     let projected = SoaProjectedTrace::project(&user.trace);

@@ -18,7 +18,6 @@ use crate::obs as serve_obs;
 use crate::router::ShardRouter;
 use crate::shard::{RestoreError, Shard};
 use backwatch_core::poi::{ExtractorParams, Stay};
-use backwatch_geo::distance::Metric;
 use backwatch_trace::TracePoint;
 
 /// Magic-plus-version word opening every serialized service snapshot
@@ -49,7 +48,6 @@ impl ServiceStats {
 pub struct IngestService {
     router: ShardRouter,
     shards: Vec<Shard>,
-    metric: Metric,
     params: ExtractorParams,
     fixes: u64,
     stays: u64,
@@ -71,7 +69,6 @@ impl IngestService {
         Self {
             router: ShardRouter::new(n_shards),
             shards: (0..n_shards).map(|_| Shard::new(params)).collect(),
-            metric: params.metric,
             params,
             fixes: 0,
             stays: 0,
@@ -98,7 +95,7 @@ impl IngestService {
         self.latest_fix_secs = Some(fix.time.as_secs());
         let idx = self.router.shard_of(user_id);
         self.fixes += 1;
-        let stay = self.shards[idx].ingest(user_id, fix, &self.metric);
+        let stay = self.shards[idx].ingest(user_id, fix);
         self.stays += u64::from(stay.is_some());
         stay
     }
@@ -209,7 +206,6 @@ impl IngestService {
         Ok(Self {
             router: ShardRouter::new(n_shards),
             shards,
-            metric: params.metric,
             params,
             fixes: 0,
             stays: 0,

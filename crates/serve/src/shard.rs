@@ -8,16 +8,11 @@
 //! iteration order varies per process, which would break the
 //! bit-identical crash-resume guarantee the integration tests pin.)
 //!
-//! The shard is layout-generic over the engine's [`Window`] exactly like
-//! [`StreamingExtractor`] itself: the lat/lon service uses the default
-//! AoS `CentroidBuffer`, and projected deployments can instantiate
-//! `Shard<ProjectedPoint, SoaPlanarWindow>` to get the SoA hot path —
-//! the checkpoint wire format is window-layout-independent, so snapshots
-//! stay interchangeable.
+//! Engines consume raw lat/lon [`TracePoint`] fixes — the only form the
+//! ingestion service receives.
 
 use crate::obs as serve_obs;
-use backwatch_core::poi::{CentroidBuffer, StreamPoint};
-use backwatch_core::poi::{Checkpoint, CheckpointError, ExtractorParams, Stay, StreamingExtractor, Window};
+use backwatch_core::poi::{Checkpoint, CheckpointError, ExtractorParams, Stay, StreamingExtractor};
 use backwatch_trace::TracePoint;
 use std::collections::BTreeMap;
 use std::error::Error;
@@ -71,14 +66,14 @@ impl Error for RestoreError {
 
 /// A shard of the ingestion service: per-user streaming engines plus the
 /// serve-side tallies that feed `serve.shard.*` telemetry.
-pub struct Shard<P: StreamPoint = TracePoint, W: Window<Point = P> = CentroidBuffer<P>> {
+pub struct Shard {
     params: ExtractorParams,
-    users: BTreeMap<u64, StreamingExtractor<P, W>>,
+    users: BTreeMap<u64, StreamingExtractor<TracePoint>>,
     fixes_unflushed: u64,
     stays_unflushed: u64,
 }
 
-impl<P: StreamPoint, W: Window<Point = P>> fmt::Debug for Shard<P, W> {
+impl fmt::Debug for Shard {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("Shard")
             .field("users", &self.users.len())
@@ -87,7 +82,7 @@ impl<P: StreamPoint, W: Window<Point = P>> fmt::Debug for Shard<P, W> {
     }
 }
 
-impl<P: StreamPoint, W: Window<Point = P>> Shard<P, W> {
+impl Shard {
     /// An empty shard; every engine it lazily creates uses `params`.
     #[must_use]
     pub fn new(params: ExtractorParams) -> Self {
@@ -124,13 +119,13 @@ impl<P: StreamPoint, W: Window<Point = P>> Shard<P, W> {
 
     /// Feeds one fix to `user_id`'s engine (creating it on first contact)
     /// and returns the stay the fix completed, if any.
-    pub fn ingest(&mut self, user_id: u64, point: P, ctx: &P::Ctx) -> Option<Stay> {
+    pub fn ingest(&mut self, user_id: u64, point: TracePoint) -> Option<Stay> {
         let engine = self
             .users
             .entry(user_id)
             .or_insert_with(|| StreamingExtractor::new(self.params));
         self.fixes_unflushed += 1;
-        let stay = engine.push_with(point, ctx);
+        let stay = engine.push(point);
         self.stays_unflushed += u64::from(stay.is_some());
         stay
     }
@@ -223,7 +218,7 @@ impl<P: StreamPoint, W: Window<Point = P>> Shard<P, W> {
     }
 }
 
-impl<P: StreamPoint, W: Window<Point = P>> Drop for Shard<P, W> {
+impl Drop for Shard {
     /// Tallies accumulated since the last flush still reach telemetry
     /// when the shard is dropped mid-stream.
     fn drop(&mut self) {
@@ -278,15 +273,14 @@ mod tests {
     /// Drives one user through a dwell long enough to emit a stay.
     #[test]
     fn ingest_creates_engines_and_emits_stays() {
-        let mut shard: Shard = Shard::new(params());
-        let metric = params().metric;
+        let mut shard = Shard::new(params());
         let mut stays = Vec::new();
         // 700 s at one spot, then walk far away to confirm the exit.
         for s in 0..700 {
-            stays.extend(shard.ingest(7, fix(s, 39.99, 116.31), &metric));
+            stays.extend(shard.ingest(7, fix(s, 39.99, 116.31)));
         }
         for s in 700..1000 {
-            stays.extend(shard.ingest(7, fix(s, 39.99 + 0.01 * (s - 699) as f64, 116.31), &metric));
+            stays.extend(shard.ingest(7, fix(s, 39.99 + 0.01 * (s - 699) as f64, 116.31)));
         }
         assert_eq!(shard.n_users(), 1);
         assert!(shard.contains_user(7));
@@ -295,23 +289,22 @@ mod tests {
 
     #[test]
     fn snapshot_round_trip_is_empty_safe() {
-        let shard: Shard = Shard::new(params());
+        let shard = Shard::new(params());
         let bytes = shard.snapshot();
-        let restored: Shard = Shard::restore(params(), &bytes).expect("empty shard restores");
+        let restored = Shard::restore(params(), &bytes).expect("empty shard restores");
         assert_eq!(restored.n_users(), 0);
     }
 
     #[test]
     fn snapshot_is_deterministic_and_ordered_by_user_id() {
-        let metric = params().metric;
-        let mut a: Shard = Shard::new(params());
-        let mut b: Shard = Shard::new(params());
+        let mut a = Shard::new(params());
+        let mut b = Shard::new(params());
         // Same fixes, opposite per-user insertion order.
         for s in 0..50 {
-            a.ingest(2, fix(s, 39.9, 116.3), &metric);
-            a.ingest(1, fix(s, 39.8, 116.2), &metric);
-            b.ingest(1, fix(s, 39.8, 116.2), &metric);
-            b.ingest(2, fix(s, 39.9, 116.3), &metric);
+            a.ingest(2, fix(s, 39.9, 116.3));
+            a.ingest(1, fix(s, 39.8, 116.2));
+            b.ingest(1, fix(s, 39.8, 116.2));
+            b.ingest(2, fix(s, 39.9, 116.3));
         }
         assert_eq!(
             a.snapshot(),
@@ -323,84 +316,39 @@ mod tests {
 
     #[test]
     fn restore_rejects_corruption_without_panicking() {
-        let metric = params().metric;
-        let mut shard: Shard = Shard::new(params());
+        let mut shard = Shard::new(params());
         for s in 0..100 {
-            shard.ingest(3, fix(s, 39.9, 116.3), &metric);
+            shard.ingest(3, fix(s, 39.9, 116.3));
         }
         let good = shard.snapshot();
         // Bad magic.
         let mut bad = good.clone();
         bad[0] ^= 0xFF;
-        assert!(matches!(
-            Shard::<TracePoint>::restore(params(), &bad),
-            Err(RestoreError::BadMagic)
-        ));
+        assert!(matches!(Shard::restore(params(), &bad), Err(RestoreError::BadMagic)));
         // Truncation at every 8-byte boundary (and a ragged tail).
         for cut in (0..good.len()).step_by(8).chain([good.len() - 3]) {
-            let r = Shard::<TracePoint>::restore(params(), &good[..cut]);
+            let r = Shard::restore(params(), &good[..cut]);
             assert!(r.is_err(), "truncation to {cut} bytes must be rejected");
         }
         // Trailing garbage after the declared structure.
         let mut padded = good.clone();
         padded.extend_from_slice(&[0u8; 16]);
         assert!(matches!(
-            Shard::<TracePoint>::restore(params(), &padded),
+            Shard::restore(params(), &padded),
             Err(RestoreError::BadFraming("trailing bytes after the declared users"))
         ));
         // Oversized declared checkpoint length inside the stream.
         let mut oversized = good.clone();
         oversized[24..32].copy_from_slice(&u64::MAX.to_le_bytes());
-        assert!(Shard::<TracePoint>::restore(params(), &oversized).is_err());
+        assert!(Shard::restore(params(), &oversized).is_err());
         // A structurally corrupted embedded checkpoint (its magic word,
         // at offset 32: shard magic, count, user id, length) surfaces the
         // owning user id.
         let mut user_bad = good;
         user_bad[32] ^= 0xFF;
-        match Shard::<TracePoint>::restore(params(), &user_bad) {
+        match Shard::restore(params(), &user_bad) {
             Err(RestoreError::User { user_id, .. }) => assert_eq!(user_id, 3),
             other => panic!("corrupted embedded checkpoint must name its user: {other:?}"),
         }
-    }
-
-    /// The layout-generic form compiles and round-trips with the SoA
-    /// window (projected points): the wire format is layout-independent.
-    #[test]
-    fn soa_shard_round_trips_projected_streams() {
-        use backwatch_core::poi::{PlanarCtx, SoaPlanarWindow};
-        use backwatch_trace::{synth, ProjectedTrace};
-
-        let cfg = synth::SynthConfig {
-            n_users: 1,
-            days: 1,
-            ..synth::SynthConfig::small()
-        };
-        let user = synth::generate_user(&cfg, 0);
-        let projected = ProjectedTrace::project(&user.trace);
-        let ctx = PlanarCtx::new(&projected, params().metric);
-
-        let mut soa: Shard<backwatch_trace::ProjectedPoint, SoaPlanarWindow> = Shard::new(params());
-        let pts = projected.points();
-        let half = pts.len() / 2;
-        let mut stays = Vec::new();
-        for p in &pts[..half] {
-            stays.extend(soa.ingest(0, *p, &ctx).map(|s| (0u64, s)));
-        }
-        let bytes = soa.snapshot();
-        let mut resumed: Shard<backwatch_trace::ProjectedPoint, SoaPlanarWindow> =
-            Shard::restore(params(), &bytes).expect("SoA shard restores");
-        for p in &pts[half..] {
-            stays.extend(resumed.ingest(0, *p, &ctx).map(|s| (0u64, s)));
-        }
-        stays.extend(resumed.finish());
-
-        // Oracle: one uninterrupted AoS engine over the same stream.
-        let mut oracle: Shard<backwatch_trace::ProjectedPoint> = Shard::new(params());
-        let mut expect = Vec::new();
-        for p in pts {
-            expect.extend(oracle.ingest(0, *p, &ctx).map(|s| (0u64, s)));
-        }
-        expect.extend(oracle.finish());
-        assert_eq!(stays, expect, "SoA shard with a mid-stream restore must match the AoS oracle");
     }
 }

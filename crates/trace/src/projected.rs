@@ -213,13 +213,14 @@ impl ProjectedTrace {
             (0, 0)
         } else {
             (
-                self.points.last().expect("non-empty").time.as_secs(),
-                self.points[0].time.as_secs(),
+                self.points.last().map_or(0, |p| p.time.as_secs()),
+                self.points.first().map_or(0, |p| p.time.as_secs()),
             )
         };
         let seam = 1;
-        let tail = self.points[start..].iter().copied();
-        let head = self.points[..start].iter().map(move |p| ProjectedPoint {
+        let (head, tail) = self.points.split_at(start);
+        let tail = tail.iter().copied();
+        let head = head.iter().map(move |p| ProjectedPoint {
             time: Timestamp::from_secs(last_t + seam + (p.time.as_secs() - head_base)),
             ..*p
         });

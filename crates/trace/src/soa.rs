@@ -1,17 +1,12 @@
-//! Struct-of-arrays projected traces — the data-oriented twin of
+//! Struct-of-arrays projected traces — the column-layout twin of
 //! [`ProjectedTrace`].
 //!
-//! The certified planar filter is, at paper scale, one f64 distance kernel
-//! run hundreds of millions of times over coordinate streams. Feeding it
-//! from an array-of-structs (`Vec<ProjectedPoint>`, 40 bytes per fix of
-//! which the hot kernel reads 16) wastes more than half of every cache
-//! line and denies the compiler any chance to vectorize. A
-//! [`SoaProjectedTrace`] stores each field as its own column — `x`, `y`,
+//! A [`SoaProjectedTrace`] stores each field as its own column — `x`, `y`,
 //! `timestamp`, plus a geographic position column the refine fallback and
-//! reported centroids need — so batch geometric predicates stream over
-//! dense `&[f64]` slices (see `backwatch-core`'s `poi::soa` kernels).
-//! Positions stay as whole [`LatLon`] values (never split into raw
-//! degrees and re-wrapped) so materialized points are bit-verbatim.
+//! reported centroids need — and materializes [`ProjectedPoint`]s on the
+//! fly for the extractor's `extract_*_soa` entry points. Positions stay as
+//! whole [`LatLon`] values (never split into raw degrees and re-wrapped)
+//! so materialized points are bit-verbatim.
 //!
 //! The layout is the only thing that changes: columns hold bit-verbatim
 //! the same values [`ProjectedTrace`] holds ([`SoaProjectedTrace::project`]
@@ -24,7 +19,9 @@
 //! the workspace-level `tests/planar_equivalence.rs` pin that.
 
 use crate::point::{Timestamp, TracePoint};
-use crate::projected::{envelope, Envelope, ProjectedPoint, ProjectedTrace};
+#[cfg(any(doc, test))]
+use crate::projected::ProjectedTrace;
+use crate::projected::{envelope, Envelope, ProjectedPoint};
 use crate::trajectory::Trace;
 use backwatch_geo::projection::LocalProjection;
 use backwatch_geo::LatLon;
@@ -42,7 +39,7 @@ use backwatch_geo::LatLon;
 ///     .collect();
 /// let soa = SoaProjectedTrace::project(&Trace::from_points(pts));
 /// assert_eq!(soa.len(), 60);
-/// assert_eq!(soa.xs().len(), soa.ys().len()); // dense parallel columns
+/// assert!(soa.point(0).x.abs() < 1e-9); // anchored at the first fix
 /// ```
 #[derive(Debug, Clone)]
 pub struct SoaProjectedTrace {
@@ -80,20 +77,6 @@ impl SoaProjectedTrace {
         out
     }
 
-    /// Re-lays an already-projected trace out column-wise (bit-verbatim;
-    /// no geometry is recomputed).
-    #[must_use]
-    pub fn from_projected(projected: &ProjectedTrace) -> Self {
-        let mut out = Self::empty(*projected.projection(), projected.slack_per_east_meter(), projected.len());
-        for p in projected.points() {
-            out.times.push(p.time.as_secs());
-            out.pos.push(p.pos);
-            out.xs.push(p.x);
-            out.ys.push(p.y);
-        }
-        out
-    }
-
     fn empty(projection: LocalProjection, slack_per_east_meter: f64, capacity: usize) -> Self {
         Self {
             projection,
@@ -117,32 +100,6 @@ impl SoaProjectedTrace {
     #[must_use]
     pub fn slack_per_east_meter(&self) -> f64 {
         self.slack_per_east_meter
-    }
-
-    /// East offsets from the anchor, meters, in trace order.
-    #[must_use]
-    pub fn xs(&self) -> &[f64] {
-        &self.xs
-    }
-
-    /// North offsets from the anchor, meters, in trace order.
-    #[must_use]
-    pub fn ys(&self) -> &[f64] {
-        &self.ys
-    }
-
-    /// Geographic positions in trace order (kept as whole [`LatLon`]
-    /// values so the exact-metric refine path and reported centroids are
-    /// bit-identical to the AoS pipeline).
-    #[must_use]
-    pub fn positions(&self) -> &[LatLon] {
-        &self.pos
-    }
-
-    /// Timestamps (seconds) in trace order.
-    #[must_use]
-    pub fn times(&self) -> &[i64] {
-        &self.times
     }
 
     /// Number of fixes.
@@ -284,14 +241,11 @@ mod tests {
     }
 
     #[test]
-    fn from_projected_matches_direct_projection() {
-        let tr = city_trace();
-        let aos = ProjectedTrace::project(&tr);
-        let direct = SoaProjectedTrace::project(&tr);
-        let converted = SoaProjectedTrace::from_projected(&aos);
-        assert_eq!(direct.len(), converted.len());
-        for i in 0..direct.len() {
-            assert_points_bitwise_eq(direct.point(i), converted.point(i), &format!("point {i}"));
+    fn iter_matches_point_by_point_materialization() {
+        let soa = SoaProjectedTrace::project(&city_trace());
+        assert_eq!(soa.iter().count(), soa.len());
+        for (i, p) in soa.iter().enumerate() {
+            assert_points_bitwise_eq(p, soa.point(i), &format!("point {i}"));
         }
     }
 

@@ -13,9 +13,7 @@
 use backwatch::geo::distance::{equirectangular, haversine, Metric};
 use backwatch::geo::enu::Frame;
 use backwatch::geo::{bearing, Degrees, LatLon, Meters, Seconds};
-use backwatch::model::poi::{
-    Checkpoint, ExtractorParams, PlanarCtx, SoaStreamingExtractor, SpatioTemporalExtractor, Stay, StreamingExtractor,
-};
+use backwatch::model::poi::{Checkpoint, ExtractorParams, PlanarCtx, SpatioTemporalExtractor, Stay, StreamingExtractor};
 use backwatch::trace::sampling;
 use backwatch::trace::synth::{generate_user, SynthConfig};
 use backwatch::trace::{ProjectedPoint, ProjectedTrace, SoaProjectedTrace, Timestamp, Trace, TracePoint};
@@ -195,9 +193,9 @@ fn soa_extraction_is_bit_identical_everywhere() {
     }
 }
 
-/// The chunked SoA kernel lands on the same golden digest as the scalar
-/// pipeline — both through batch extraction and through the SoA streaming
-/// engine driven point-at-a-time.
+/// Extraction over the column layout lands on the same golden digest as
+/// the lat/lon pipeline — both through batch extraction and through the
+/// streaming engine fed point-at-a-time from the columns.
 #[test]
 fn soa_extraction_matches_golden_digest() {
     let user = generate_user(&SynthConfig::small(), 0);
@@ -214,31 +212,24 @@ fn soa_extraction_matches_golden_digest() {
         );
 
         let ctx = PlanarCtx::for_soa(&soa, metric);
-        let mut engine = SoaStreamingExtractor::new(params_with(metric));
-        let mut streamed: Vec<Stay> = soa.iter().filter_map(|p| engine.push_with(p, &ctx)).collect();
-        streamed.extend(engine.finish());
+        let streamed = stream(params_with(metric), soa.iter(), &ctx);
         assert_eq!(
             fnv_digest(&streamed),
             0x4a45_fe8a_af42_79f8,
             "SoA streaming digest drifted under {metric:?}"
         );
-        let (chunks, tail) = ctx.simd_counts();
-        assert!(chunks > 0, "chunked kernel never ran under {metric:?}");
-        assert!(tail > 0, "scalar prologue/tail never ran under {metric:?}");
         let (certified, refined) = ctx.decision_counts();
         assert!(certified + refined > 0, "no planar decisions recorded under {metric:?}");
-        // The decision tallies also fold in the visit-coverage checks the
-        // state machine runs outside the window kernel, so the only sound
-        // cross-check is against the scalar engine run over the same
-        // stream: identical decisions, and no SoA kernel counters touched.
-        let (scalar_stays, scalar_ctx) = stream_scalar(params_with(metric), &projected);
-        assert_eq!(fnv_digest(&scalar_stays), 0x4a45_fe8a_af42_79f8);
+        // The same stream read from the AoS layout takes the identical
+        // certify-vs-refine branch on every decision.
+        let aos_ctx = PlanarCtx::new(&projected, metric);
+        let aos_stays = stream(params_with(metric), projected.points().iter().copied(), &aos_ctx);
+        assert_eq!(fnv_digest(&aos_stays), 0x4a45_fe8a_af42_79f8);
         assert_eq!(
-            scalar_ctx.decision_counts(),
+            aos_ctx.decision_counts(),
             (certified, refined),
-            "decision tallies diverged from the scalar oracle under {metric:?}"
+            "decision tallies diverged between layouts under {metric:?}"
         );
-        assert_eq!(scalar_ctx.simd_counts(), (0, 0));
     }
 }
 
@@ -246,8 +237,24 @@ fn soa_extraction_matches_golden_digest() {
 /// move / session jump); mirrors `streaming_equivalence.rs`.
 #[derive(Debug, Clone, Copy)]
 enum Step {
-    Pause { dt: i64, jlat: f64, jlon: f64 },
-    Move { dt: i64, dlat: f64, dlon: f64 },
+    Pause {
+        dt: i64,
+        jlat: f64,
+        jlon: f64,
+    },
+    Move {
+        dt: i64,
+        dlat: f64,
+        dlon: f64,
+    },
+    /// A whole visit: `n` fixes `dt` seconds apart with GPS-noise-sized
+    /// jitter — up to half an hour, so traces actually produce stays
+    /// (runs of single `Pause` steps almost never reach the visiting
+    /// time).
+    Dwell {
+        n: u32,
+        dt: i64,
+    },
 }
 
 fn arb_step() -> impl Strategy<Value = Step> {
@@ -259,6 +266,7 @@ fn arb_step() -> impl Strategy<Value = Step> {
         (1i64..=60, -2e-6f64..2e-6, -2e-6f64..2e-6).prop_map(|(dt, jlat, jlon)| Step::Pause { dt, jlat, jlon }),
         (1i64..=120, -3e-3f64..3e-3, -3e-3f64..3e-3).prop_map(|(dt, dlat, dlon)| Step::Move { dt, dlat, dlon }),
         (60i64..=7200, -0.05f64..0.05, -0.05f64..0.05).prop_map(|(dt, dlat, dlon)| Step::Move { dt, dlat, dlon }),
+        (10u32..=60, 1i64..=30).prop_map(|(n, dt)| Step::Dwell { n, dt }),
     ]
 }
 
@@ -281,57 +289,106 @@ fn build_trace(steps: &[Step]) -> Trace {
                 lon = (lon + dlon).clamp(116.0, 116.9);
                 pts.push(TracePoint::new(Timestamp::from_secs(t), LatLon::new(lat, lon).unwrap()));
             }
+            Step::Dwell { n, dt } => {
+                for k in 0..n {
+                    t += dt;
+                    let jitter = f64::from(k % 5) * 1e-6 - 2e-6;
+                    pts.push(TracePoint::new(
+                        Timestamp::from_secs(t),
+                        LatLon::new(lat + jitter, lon - jitter).unwrap(),
+                    ));
+                }
+            }
         }
     }
     Trace::from_points(pts)
 }
 
-/// Streams every point of `projected`-layout data through an engine with
-/// its own [`PlanarCtx`], returning the stays and the ctx for tallies.
-fn stream_scalar(params: ExtractorParams, projected: &ProjectedTrace) -> (Vec<Stay>, PlanarCtx) {
-    let ctx = PlanarCtx::new(projected, params.metric);
+/// Drives a `ProjectedPoint` streaming engine over `points` against
+/// `ctx` (whose decision tallies the caller reads afterwards) and returns
+/// the stays, including the one `finish` flushes. The batch extractors
+/// delegate to this same engine, so its tallies are theirs too.
+fn stream(params: ExtractorParams, points: impl Iterator<Item = ProjectedPoint>, ctx: &PlanarCtx) -> Vec<Stay> {
     let mut engine: StreamingExtractor<ProjectedPoint> = StreamingExtractor::new(params);
-    let mut stays: Vec<Stay> = projected.points().iter().filter_map(|p| engine.push_with(*p, &ctx)).collect();
+    let mut stays: Vec<Stay> = points.filter_map(|p| engine.push_with(p, ctx)).collect();
     stays.extend(engine.finish());
-    (stays, ctx)
+    stays
 }
 
-fn stream_soa(params: ExtractorParams, soa: &SoaProjectedTrace) -> (Vec<Stay>, PlanarCtx) {
-    let ctx = PlanarCtx::for_soa(soa, params.metric);
-    let mut engine = SoaStreamingExtractor::new(params);
-    let mut stays: Vec<Stay> = soa.iter().filter_map(|p| engine.push_with(p, &ctx)).collect();
-    stays.extend(engine.finish());
-    (stays, ctx)
+/// One stream's stays and `(certified, refined)` decision tallies.
+type Streamed = (Vec<Stay>, (u64, u64));
+
+/// Streams one view of the trace from each layout (`aos_view` over the
+/// AoS trace, `soa_view` over the columns), each against a fresh context,
+/// and returns both streams' stays and `(certified, refined)` tallies.
+fn stream_both_layouts<'a, A, S>(
+    params: ExtractorParams,
+    projected: &'a ProjectedTrace,
+    soa: &'a SoaProjectedTrace,
+    aos_view: impl FnOnce(&'a ProjectedTrace) -> A,
+    soa_view: impl FnOnce(&'a SoaProjectedTrace) -> S,
+) -> (Streamed, Streamed)
+where
+    A: Iterator<Item = ProjectedPoint>,
+    S: Iterator<Item = ProjectedPoint>,
+{
+    let aos_ctx = PlanarCtx::new(projected, params.metric);
+    let aos = stream(params, aos_view(projected), &aos_ctx);
+    let soa_ctx = PlanarCtx::for_soa(soa, params.metric);
+    let soa_stays = stream(params, soa_view(soa), &soa_ctx);
+    ((aos, aos_ctx.decision_counts()), (soa_stays, soa_ctx.decision_counts()))
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Differential suite: on adversarially random traces, for every
-    /// Table III parameter set, the chunked SoA kernel produces the same
-    /// stays AND the same certified/refined decision tallies as the
-    /// scalar oracle — the filter must not merely agree on outcomes, it
-    /// must take the identical certify-vs-refine branch on every window
-    /// evaluation.
+    /// Differential suite over the column layout: on adversarially random
+    /// traces, for every Table III parameter set, the batch `extract_soa`,
+    /// `extract_sampled_soa` and `extract_rotated_soa` entry points and a
+    /// streaming engine fed from [`SoaProjectedTrace`] views produce the
+    /// stays of the AoS `extract_projected` family and of the lat/lon
+    /// `extract` oracle on the materialized trace — and the column-fed
+    /// engine takes the identical certify-vs-refine branch on every
+    /// decision as the AoS-fed one (equal certified/refined tallies).
     #[test]
     fn soa_differential_matches_scalar_oracle(steps in prop::collection::vec(arb_step(), 0..400)) {
         let trace = build_trace(&steps);
         let projected = ProjectedTrace::project(&trace);
         let soa = SoaProjectedTrace::project(&trace);
+        let start = trace.len() / 2;
         for params in ExtractorParams::table3_sets() {
-            let batch = SpatioTemporalExtractor::new(params).extract(&trace);
-            let (scalar_stays, scalar_ctx) = stream_scalar(params, &projected);
-            let (soa_stays, soa_ctx) = stream_soa(params, &soa);
-            prop_assert_eq!(&batch, &scalar_stays, "scalar planar vs oracle, params {:?}", params);
-            prop_assert_eq!(&scalar_stays, &soa_stays, "SoA vs scalar stays, params {:?}", params);
-            prop_assert_eq!(
-                scalar_ctx.decision_counts(),
-                soa_ctx.decision_counts(),
-                "certified/refined tallies diverged, params {:?}",
-                params
-            );
-            // The kernel-shape tallies are exclusive to the SoA path.
-            prop_assert_eq!(scalar_ctx.simd_counts(), (0, 0));
+            let extractor = SpatioTemporalExtractor::new(params);
+
+            let oracle = extractor.extract(&trace);
+            prop_assert_eq!(&extractor.extract_projected(&projected), &oracle, "AoS full, params {:?}", params);
+            prop_assert_eq!(&extractor.extract_soa(&soa), &oracle, "SoA full, params {:?}", params);
+            let ((aos, aos_tally), (col, col_tally)) =
+                stream_both_layouts(params, &projected, &soa, |p| p.points().iter().copied(), |s| s.iter());
+            prop_assert_eq!(&aos, &oracle, "AoS stream, params {:?}", params);
+            prop_assert_eq!(&col, &oracle, "SoA stream, params {:?}", params);
+            prop_assert_eq!(aos_tally, col_tally, "full tallies diverged, params {:?}", params);
+
+            for interval in [60, 600] {
+                let indices = sampling::downsample_indices(&trace, Seconds::new(interval));
+                let oracle = extractor.extract(&sampling::downsample(&trace, Seconds::new(interval)));
+                let at = format!("interval {interval}, params {params:?}");
+                prop_assert_eq!(&extractor.extract_sampled(&projected, &indices), &oracle, "AoS sampled, {}", at);
+                prop_assert_eq!(&extractor.extract_sampled_soa(&soa, &indices), &oracle, "SoA sampled, {}", at);
+                let ((aos, aos_tally), (col, col_tally)) =
+                    stream_both_layouts(params, &projected, &soa, |p| p.sampled(&indices), |s| s.sampled(&indices));
+                prop_assert_eq!(&aos, &oracle, "AoS sampled stream, {}", at);
+                prop_assert_eq!(&col, &oracle, "SoA sampled stream, {}", at);
+                prop_assert_eq!(aos_tally, col_tally, "sampled tallies diverged, {}", at);
+            }
+
+            let oracle = extractor.extract(&sampling::rotate_to_start(&trace, start));
+            prop_assert_eq!(&extractor.extract_rotated(&projected, start), &oracle, "AoS rotated, params {:?}", params);
+            prop_assert_eq!(&extractor.extract_rotated_soa(&soa, start), &oracle, "SoA rotated, params {:?}", params);
+            let ((aos, aos_tally), (col, col_tally)) =
+                stream_both_layouts(params, &projected, &soa, |p| p.rotated_from(start), |s| s.rotated_from(start));
+            prop_assert_eq!(&aos, &oracle, "AoS rotated stream, params {:?}", params);
+            prop_assert_eq!(&col, &oracle, "SoA rotated stream, params {:?}", params);
+            prop_assert_eq!(aos_tally, col_tally, "rotated tallies diverged, params {:?}", params);
         }
     }
 }
