@@ -11,13 +11,19 @@
 //! # Monotone containment model
 //!
 //! Decimal truncation at precision d is exactly the projection of a
-//! coordinate onto the grid cell `floor(x·10^d)`. The adversary stores,
-//! per enrolled user, the set of cells the user's full trace covers at
-//! the finest precision ([`MAX_DECIMALS`]); coarser precisions are
-//! derived by *integer division*, so the projection chain
-//! `cells(d) = cells(d+1) div 10` holds exactly — no floating-point
-//! re-rounding. A user is a candidate for an observed fix set iff their
-//! projected cell set contains every observed cell.
+//! coordinate onto the grid cell `floor(x·10^d)`. A [`CoordSet`] holds
+//! the cells a fix collection covers at the finest precision
+//! ([`MAX_DECIMALS`]); coarser precisions are derived by *integer
+//! division*, so the projection chain `cells(d) = cells(d+1) div 10`
+//! holds exactly — no floating-point re-rounding. A user is a candidate
+//! for an observed fix set iff their projected cell set contains every
+//! observed cell.
+//!
+//! The adversary projects each enrolled user's full-trace set to every
+//! level `0..=MAX_DECIMALS` once, at enrolment, walking that chain one
+//! `div 10` step at a time. A query then projects only the observed set
+//! and binary-searches each user's stored level; [`CoordSet::project`]
+//! stays as the direct, per-call reference the levels must equal.
 //!
 //! Monotonicity then holds by construction:
 //!
@@ -174,6 +180,9 @@ impl CoordSet {
         }
         cells.sort_unstable();
         cells.dedup();
+        // dedup leaves the capacity of every fix that changed cell, often
+        // many times the distinct count; sets are long-lived, so drop it
+        cells.shrink_to_fit();
         Self { cells }
     }
 
@@ -210,12 +219,34 @@ impl CoordSet {
     }
 }
 
+/// Precision levels the containment adversary compares at: `0..=MAX_DECIMALS`.
+const LEVELS: usize = MAX_DECIMALS as usize + 1;
+
+/// One projection step along the exact chain: `cells(d) = cells(d+1) div 10`.
+fn coarsen(cells: &[(i32, i32)]) -> Vec<(i32, i32)> {
+    let mut out: Vec<(i32, i32)> = cells.iter().map(|&(la, lo)| (la.div_euclid(10), lo.div_euclid(10))).collect();
+    out.sort_unstable();
+    out.dedup();
+    // held for the adversary's lifetime: drop the slack dedup left
+    out.shrink_to_fit();
+    out
+}
+
 /// The containment attacker: enrolled full-trace cell sets, queried with
 /// an observed (sampled) cell set at a given precision.
+///
+/// [`insert`](Self::insert) projects each enrolled set to every
+/// precision level once, along the exact chain
+/// `cells(d) = cells(d+1) div 10`, so the stored levels equal
+/// [`CoordSet::project`] level for level. [`candidates`](Self::candidates)
+/// projects only the observed set and binary-searches each user's stored
+/// level.
 #[derive(Debug, Clone, Default)]
 pub struct LeakageAdversary {
     users: Vec<u32>,
-    sets: Vec<CoordSet>,
+    /// Per enrolled user, the sorted unique cells at each precision:
+    /// `levels[u][d]`.
+    levels: Vec<[Vec<(i32, i32)>; LEVELS]>,
 }
 
 impl LeakageAdversary {
@@ -225,10 +256,17 @@ impl LeakageAdversary {
         Self::default()
     }
 
-    /// Enrolls a user's full-trace cell set.
+    /// Enrolls a user's full-trace cell set, projecting it to every
+    /// precision level.
     pub fn insert(&mut self, user: u32, set: CoordSet) {
+        let mut levels: [Vec<(i32, i32)>; LEVELS] = Default::default();
+        // the stored cells are already the sorted unique finest level
+        levels[LEVELS - 1] = set.cells;
+        for d in (0..LEVELS - 1).rev() {
+            levels[d] = coarsen(&levels[d + 1]);
+        }
         self.users.push(user);
-        self.sets.push(set);
+        self.levels.push(levels);
     }
 
     /// Enrolled population size.
@@ -246,8 +284,8 @@ impl LeakageAdversary {
         let d = precision.containment_decimals();
         let obs = observed.project(d);
         let mut out = Vec::new();
-        for (user, set) in self.users.iter().zip(&self.sets) {
-            let cand = set.project(d);
+        for (user, levels) in self.users.iter().zip(&self.levels) {
+            let cand = &levels[usize::from(d)];
             if obs.iter().all(|c| cand.binary_search(c).is_ok()) {
                 out.push(*user);
             }

@@ -93,7 +93,7 @@ pub fn run(cfg: &ExperimentConfig) -> LeakageResult {
     let matcher = cfg.matcher;
     let n_users = cfg.synth.n_users;
 
-    let per_user: Vec<UserLeak> = crate::pool::map_users(n_users, cfg.threads, |u| {
+    let mut per_user: Vec<UserLeak> = crate::pool::map_users(n_users, cfg.threads, |u| {
         let user = generate_user(&cfg.synth, u);
         let times: Vec<i64> = user.trace.points().iter().map(|p| p.time.as_secs()).collect();
         let soa = SoaProjectedTrace::project(&user.trace);
@@ -130,11 +130,12 @@ pub fn run(cfg: &ExperimentConfig) -> LeakageResult {
 
     // Population-wide stores: the chi-square profile store and the
     // containment adversary, both over the full-precision ground truth.
+    // The full cell sets are dead after enrolment: move them in.
     let mut store = ProfileStore::new(PatternKind::RegionVisits);
     let mut containment = LeakageAdversary::new();
-    for (u, ul) in per_user.iter().enumerate() {
+    for (u, ul) in per_user.iter_mut().enumerate() {
         store.insert(u as u32, ul.profile1.clone());
-        containment.insert(u as u32, ul.full_set.clone());
+        containment.insert(u as u32, std::mem::take(&mut ul.full_set));
     }
 
     let mut cells = Vec::with_capacity(LEAK_INTERVALS.len() * PRECISIONS.len());

@@ -176,14 +176,16 @@ pub fn calibrate_knife_edge(cfg: &ExperimentConfig) -> KnifeEdge {
         )
     });
     let mut adversary = LeakageAdversary::new();
-    for (u, (full, _)) in sampled.iter().enumerate() {
-        adversary.insert(u as u32, full.clone());
+    let mut leaks = Vec::with_capacity(sampled.len());
+    for (u, (full, leak)) in sampled.into_iter().enumerate() {
+        adversary.insert(u as u32, full);
+        leaks.push(leak);
     }
 
     let identified_at = |precision: Precision| {
-        sampled
+        leaks
             .iter()
-            .filter(|(_, leak)| adversary.candidates(leak, precision).len() == 1)
+            .filter(|leak| adversary.candidates(leak, precision).len() == 1)
             .count()
     };
     let mut identified_by_decimals = [0usize; 5];
@@ -193,7 +195,7 @@ pub fn calibrate_knife_edge(cfg: &ExperimentConfig) -> KnifeEdge {
     let identified_lossless = identified_at(Precision::Lossless);
     let knife_edge = identified_by_decimals.iter().position(|&n| n > 0).map(|d| d as u8);
     KnifeEdge {
-        users: sampled.len(),
+        users: leaks.len(),
         identified_by_decimals,
         identified_lossless,
         knife_edge,

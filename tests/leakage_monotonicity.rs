@@ -5,13 +5,15 @@
 //! divisor chain (more samples → smaller candidate sets). The exact
 //! fixed points are pinned too: a lossless 1 Hz observation is the
 //! identity channel, and d=0 collapses the whole synthetic city into one
-//! cell — full anonymity, no re-identification.
+//! cell — full anonymity, no re-identification. A differential suite
+//! checks the adversary's enrolment-time projection against a reference
+//! that re-projects every enrolled set on every query.
 
 #![allow(clippy::unwrap_used, clippy::expect_used)] // test/bench/example target: panics are failures by design
 
 use backwatch::model::leakage::{observe, sample_indices, CoordSet, LeakageAdversary, Precision, MAX_DECIMALS};
 use backwatch::model::poi::{ExtractorParams, SpatioTemporalExtractor};
-use backwatch::prelude::{Seconds, SynthConfig};
+use backwatch::prelude::{LatLon, Seconds, SynthConfig, Timestamp, Trace, TracePoint};
 use backwatch::trace::synth::generate_user;
 use proptest::prelude::*;
 
@@ -36,6 +38,48 @@ fn population() -> (SynthConfig, LeakageAdversary, Vec<backwatch::trace::Trace>)
 
 fn times_of(trace: &backwatch::trace::Trace) -> Vec<i64> {
     trace.points().iter().map(|p| p.time.as_secs()).collect()
+}
+
+/// Every precision the leakage sweep queries at, coarse to lossless.
+const PRECISIONS: [Precision; 6] = [
+    Precision::Decimals(0),
+    Precision::Decimals(1),
+    Precision::Decimals(2),
+    Precision::Decimals(3),
+    Precision::Decimals(4),
+    Precision::Lossless,
+];
+
+/// Cell-pool size of the differential suite: users and foreign
+/// observations draw their cells from one pool, so sets share cells.
+const POOL: usize = 48;
+
+/// A trace through the centres of the given finest-precision cells
+/// (`floor(x·10^4)` units, so the cells round-trip exactly).
+fn trace_through(cells: &[(i32, i32)]) -> Trace {
+    let degrees = |c: i32| (f64::from(c) + 0.5) * 1e-4;
+    Trace::from_points(
+        cells
+            .iter()
+            .enumerate()
+            .map(|(i, &(la, lo))| TracePoint::new(Timestamp::from_secs(i as i64), LatLon::clamped(degrees(la), degrees(lo))))
+            .collect(),
+    )
+}
+
+/// The slow oracle: re-projects every enrolled set with
+/// `CoordSet::project` on every query, in enrolment order.
+fn reference_candidates(population: &[(u32, CoordSet)], observed: &CoordSet, precision: Precision) -> Vec<u32> {
+    let d = precision.containment_decimals();
+    let obs = observed.project(d);
+    population
+        .iter()
+        .filter(|(_, set)| {
+            let cells = set.project(d);
+            obs.iter().all(|c| cells.binary_search(c).is_ok())
+        })
+        .map(|&(user, _)| user)
+        .collect()
 }
 
 proptest! {
@@ -122,6 +166,54 @@ proptest! {
         prop_assert_eq!(candidates.len(), N_USERS as usize, "d=0 must match the whole population");
         let degree = adversary.degree(&observed, Precision::Decimals(0)).unwrap();
         prop_assert!((degree - 1.0).abs() < 1e-12, "d=0 degree must saturate at 1, got {degree}");
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Differential: the adversary's candidate vectors equal the
+    /// re-projecting oracle's, order included, at every precision — over
+    /// populations with negative coordinates (`div_euclid` rounds toward
+    /// -∞ across zero), empty sets and shared cells, queried with subsets
+    /// of an enrolled user's trace and with foreign observations.
+    #[test]
+    fn candidates_match_the_reprojecting_oracle(
+        pool in prop::collection::vec((-25_000i32..25_000, -25_000i32..25_000), POOL),
+        users in prop::collection::vec(prop::collection::vec(0usize..POOL, 0..24), 1..=12),
+        queries in prop::collection::vec((0usize..12, prop::collection::vec(0usize..64, 0..8), any::<bool>()), 1..8),
+    ) {
+        let traces: Vec<Trace> = users
+            .iter()
+            .map(|picks| trace_through(&picks.iter().map(|&i| pool[i]).collect::<Vec<_>>()))
+            .collect();
+        let foreign = trace_through(&pool);
+        let mut adversary = LeakageAdversary::new();
+        let mut population = Vec::new();
+        for (i, trace) in traces.iter().enumerate() {
+            // ids out of enrolment order, so a reordering would show
+            let user = 1_000 - 7 * i as u32;
+            let set = CoordSet::from_trace(trace);
+            population.push((user, set.clone()));
+            adversary.insert(user, set);
+        }
+        for (who, picks, own) in queries {
+            let trace = if own { &traces[who % traces.len()] } else { &foreign };
+            let indices: Vec<u32> = if trace.is_empty() {
+                Vec::new()
+            } else {
+                picks.iter().map(|&i| (i % trace.len()) as u32).collect()
+            };
+            let observed = CoordSet::from_sampled(trace, &indices);
+            for precision in PRECISIONS {
+                prop_assert_eq!(
+                    adversary.candidates(&observed, precision),
+                    reference_candidates(&population, &observed, precision),
+                    "candidates diverged from the oracle at {:?}",
+                    precision
+                );
+            }
+        }
     }
 }
 
