@@ -22,6 +22,46 @@
 
 use crate::pattern::Profile;
 use backwatch_stats::chi2;
+use std::cell::RefCell;
+use std::collections::HashMap;
+
+/// Entries a thread's critical-value memo holds before it is cleared.
+const CRITICAL_MEMO_CAP: usize = 1024;
+
+thread_local! {
+    /// Per-thread memo of `chi2::inverse_cdf(p, df)`, keyed on the bit
+    /// patterns of both arguments.
+    static CRITICAL_MEMO: RefCell<HashMap<(u64, u64), f64>> = RefCell::new(HashMap::new());
+}
+
+/// `chi2::inverse_cdf(p, df)`, solved once per thread and `(p, df)` key.
+///
+/// The critical value depends only on its two arguments, so a memo hit
+/// returns the very bits the solver returned on the miss. The memo is per
+/// thread to keep locks and shared atomics off the compare path, and is
+/// cleared once it holds [`CRITICAL_MEMO_CAP`] entries.
+fn critical_value(p: f64, df: f64) -> f64 {
+    let key = (p.to_bits(), df.to_bits());
+    let cached = CRITICAL_MEMO
+        .try_with(|memo| memo.try_borrow().ok().and_then(|m| m.get(&key).copied()))
+        .ok()
+        .flatten();
+    if let Some(crit) = cached {
+        return crit;
+    }
+    crate::obs::HISBIN_CRITICAL_SOLVES.inc();
+    let crit = chi2::inverse_cdf(p, df);
+    // A memo that is unavailable (thread teardown) only costs a re-solve.
+    let _ = CRITICAL_MEMO.try_with(|memo| {
+        if let Ok(mut memo) = memo.try_borrow_mut() {
+            if memo.len() >= CRITICAL_MEMO_CAP {
+                memo.clear();
+            }
+            memo.insert(key, crit);
+        }
+    });
+    crit
+}
 
 /// The binary histogram-fit metric of Table II.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -194,7 +234,7 @@ impl Matcher {
                     let d = o * scale - e;
                     stat += d * d / e;
                 }
-                let crit = chi2::inverse_cdf(1.0 - self.alpha, df);
+                let crit = critical_value(1.0 - self.alpha, df);
                 (stat, crit, stat <= crit)
             }
             MatchRule::PaperLowerTail => {
@@ -204,7 +244,7 @@ impl Matcher {
                     let d = o - e;
                     stat += d * d / e;
                 }
-                let crit = chi2::inverse_cdf(self.alpha, df);
+                let crit = critical_value(self.alpha, df);
                 (stat, crit, stat >= crit)
             }
         };
@@ -407,6 +447,37 @@ mod tests {
         let o2 = m.compare(&profile, &profile);
         assert_eq!(o1, o2);
         assert_eq!(m.rule(), MatchRule::PaperLowerTail);
+    }
+
+    /// Checks `critical_value` against the solver bit for bit over every
+    /// `(p, df)` key the sweep below covers, on the miss path and then the
+    /// hit path of the calling thread's memo.
+    fn assert_memo_matches_solver() {
+        // both tails of each α; at α = 0.5 the two tails share one key
+        let mut ps: Vec<f64> = [0.01f64, 0.05, 0.10, 0.5].iter().flat_map(|&a| [1.0 - a, a]).collect();
+        ps.dedup_by_key(|p| p.to_bits());
+        for p in ps {
+            for df in (1..=300).map(f64::from) {
+                let key = (p.to_bits(), df.to_bits());
+                let expected = chi2::inverse_cdf(p, df).to_bits();
+                let cached = CRITICAL_MEMO.with(|m| m.borrow().contains_key(&key));
+                assert!(!cached, "p={p} df={df}: key memoized before its first solve");
+                assert_eq!(critical_value(p, df).to_bits(), expected, "miss: p={p} df={df}");
+                let cached = CRITICAL_MEMO.with(|m| m.borrow().contains_key(&key));
+                assert!(cached, "p={p} df={df}: solve not memoized");
+                assert_eq!(critical_value(p, df).to_bits(), expected, "hit: p={p} df={df}");
+            }
+        }
+    }
+
+    #[test]
+    fn critical_value_memo_is_bit_identical_to_the_solver() {
+        CRITICAL_MEMO.with(|m| m.borrow_mut().clear());
+        assert_memo_matches_solver();
+        // the memo is bounded: 2,400 keys went through a 1,024-entry cap
+        assert!(CRITICAL_MEMO.with(|m| m.borrow().len()) <= CRITICAL_MEMO_CAP);
+        // a fresh thread starts from an empty memo of its own
+        std::thread::spawn(assert_memo_matches_solver).join().unwrap();
     }
 
     #[test]

@@ -16,7 +16,7 @@ use backwatch_core::pattern::PatternKind;
 use std::fmt::Write as _;
 
 /// Per-user detection outcomes for one collection strategy.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct DetectionSet {
     /// Pattern-1 detections, one slot per user.
     pub pattern1: Vec<Option<Detection>>,
@@ -115,14 +115,18 @@ where
 /// Runs all four panels over the prepared users.
 #[must_use]
 pub fn run(cfg: &ExperimentConfig, users: &[UserData]) -> Fig4Result {
-    let from_start = detect_set(cfg, users, |u| &u.per_interval[0]);
-    let from_random = detect_set(cfg, users, |u| &u.rotated);
-    let per_interval = cfg
+    let per_interval: Vec<(i64, DetectionSet)> = cfg
         .intervals
         .iter()
         .enumerate()
         .map(|(k, &interval)| (interval, detect_set(cfg, users, move |u| &u.per_interval[k])))
         .collect();
+    // (a) is the first interval's set (the configs start at 1 s); with no
+    // interval configured there is nothing collected and nothing detected.
+    let from_start = per_interval
+        .first()
+        .map_or_else(DetectionSet::default, |(_, set)| set.clone());
+    let from_random = detect_set(cfg, users, |u| &u.rotated);
     Fig4Result {
         from_start,
         from_random,
@@ -277,6 +281,16 @@ mod tests {
         cfg.threads = 4;
         let par = run(&cfg, &users);
         assert_eq!(seq, par);
+    }
+
+    #[test]
+    fn no_configured_interval_detects_nothing_from_start() {
+        let mut cfg = ExperimentConfig::small();
+        cfg.intervals.clear();
+        let r = run(&cfg, &prepare_users(&cfg));
+        assert_eq!(r.from_start, DetectionSet::default());
+        assert!(r.per_interval.is_empty());
+        assert_eq!(r.from_random.pattern1.len(), cfg.synth.n_users as usize);
     }
 
     #[test]

@@ -72,10 +72,17 @@ fn prepare_one(cfg: &ExperimentConfig, user_idx: u32) -> UserData {
         .iter()
         .map(|&interval_s| {
             let indices = sampling::downsample_indices(&user.trace, Seconds::new(interval_s));
+            // An interval that kept every fix samples the identity view:
+            // same points, order and end indices as the full extraction.
+            let stays = if indices.len() == user.trace.len() {
+                full_stays.clone()
+            } else {
+                extractor.extract_sampled_soa(&projected, &indices)
+            };
             IntervalData {
                 interval_s,
                 collected_points: indices.len(),
-                stays: extractor.extract_sampled_soa(&projected, &indices),
+                stays,
             }
         })
         .collect();
@@ -170,6 +177,28 @@ mod tests {
             assert_eq!(at_1s.interval_s, 1);
             assert_eq!(at_1s.stays, u.full_stays);
             assert_eq!(at_1s.collected_points, u.trace_len);
+        }
+    }
+
+    /// Differential for the identity-sampling reuse: every interval's
+    /// stays equal a direct sampled extraction, both for the small config
+    /// (whose first interval keeps every fix and reuses the full stays) and
+    /// for a config whose first interval is 5 s (no reuse).
+    #[test]
+    fn interval_stays_match_direct_sampled_extraction() {
+        let mut coarse = ExperimentConfig::small();
+        coarse.intervals = vec![5, 60];
+        for cfg in [ExperimentConfig::small(), coarse] {
+            let extractor = SpatioTemporalExtractor::new(cfg.params);
+            for u in prepare_users(&cfg) {
+                let trace = generate_user(&cfg.synth, u.user_id).trace;
+                let projected = SoaProjectedTrace::project(&trace);
+                for d in &u.per_interval {
+                    let indices = sampling::downsample_indices(&trace, Seconds::new(d.interval_s));
+                    let direct = extractor.extract_sampled_soa(&projected, &indices);
+                    assert_eq!(d.stays, direct, "user {} interval {} s", u.user_id, d.interval_s);
+                }
+            }
         }
     }
 

@@ -5,15 +5,18 @@
 #![allow(clippy::unwrap_used, clippy::expect_used)] // test/bench/example target: panics are failures by design
 
 use backwatch::model::diary::Diary;
+use backwatch::model::hisbin::{MatchRule, Matcher};
 use backwatch::model::pattern::{PatternKind, Profile};
-use backwatch::model::poi::{ExtractorParams, SpatioTemporalExtractor};
+use backwatch::model::poi::{ExtractorParams, SpatioTemporalExtractor, Stay};
 use backwatch::model::reident::top_n_anonymity;
 use backwatch::model::similarity;
 use backwatch::model::timeconfusion::{time_to_confusion, TtcConfig};
-use backwatch::prelude::{Grid, Meters, Seconds, SynthConfig};
+use backwatch::prelude::{Grid, LatLon, Meters, Seconds, SynthConfig, Timestamp};
+use backwatch::stats::chi2;
 use backwatch::trace::sampling;
 use backwatch::trace::stats::mobility_stats;
 use backwatch::trace::synth::generate_user;
+use proptest::prelude::*;
 
 fn population() -> (SynthConfig, Vec<backwatch::trace::synth::UserTrace>) {
     let mut cfg = SynthConfig::small();
@@ -248,4 +251,66 @@ fn inverse_weighting_on_duplicates_stays_finite() {
     assert!(outcome.entropy_bits.is_finite());
     let degree = outcome.degree.expect("matches carry a degree");
     assert!(degree.is_finite() && (0.0..=1.0).contains(&degree));
+}
+
+/// A region-count profile with one visit per entry of `cells`, each cell
+/// index mapped to its own 250 m grid cell.
+fn cell_profile(cells: &[usize], grid: &Grid) -> Profile {
+    let mut profile = Profile::new(PatternKind::RegionVisitCounts);
+    for (i, &cell) in cells.iter().enumerate() {
+        let stay = Stay {
+            centroid: LatLon::new(39.9 + 0.005 * (cell / 40) as f64, 116.4 + 0.005 * (cell % 40) as f64).unwrap(),
+            enter: Timestamp::from_secs(i as i64 * 3_600),
+            leave: Timestamp::from_secs(i as i64 * 3_600 + 900),
+            n_points: 900,
+            end_index: i,
+        };
+        profile.observe_stay(&stay, grid);
+    }
+    profile
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Differential: wherever a comparison reaches the chi-square branch,
+    /// `His_bin` is the rule's decision against the critical value solved
+    /// directly by `chi2::inverse_cdf` — so the matcher's memoized critical
+    /// values are the solver's. Every case runs all rules and α values on
+    /// one pair, so a memo that confused two keys would flip a decision.
+    #[test]
+    fn his_bin_matches_the_directly_solved_critical_value(
+        shape in 0usize..4,
+        n_cats in 1usize..300,
+        observed in prop::collection::vec(0usize..1_000, 0..120),
+        profile in prop::collection::vec(0usize..1_000, 0..400),
+    ) {
+        let grid = Grid::new(LatLon::new(39.9, 116.4).unwrap(), Meters::new(250.0));
+        let (observed, profile): (Vec<usize>, Vec<usize>) = match shape {
+            // overlapping support over n_cats categories
+            0 => (observed.iter().map(|c| c % n_cats).collect(), profile.iter().map(|c| c % n_cats).collect()),
+            // disjoint support
+            1 => (observed.iter().map(|c| c % n_cats).collect(), profile.iter().map(|c| n_cats + c % n_cats).collect()),
+            // one shared category
+            2 => (vec![0; observed.len()], vec![0; profile.len()]),
+            // many categories: the profile covers all n_cats of them
+            _ => (observed.iter().map(|c| c % n_cats).collect(), (0..n_cats).chain(profile.iter().map(|c| c % n_cats)).collect()),
+        };
+        let observed = cell_profile(&observed, &grid);
+        let profile = cell_profile(&profile, &grid);
+        for rule in [MatchRule::ScaledUpperTail, MatchRule::PaperLowerTail] {
+            for alpha in [0.01, 0.05, 0.10, 0.5] {
+                let matcher = Matcher::new(alpha, rule);
+                let outcome = matcher.compare(&observed, &profile);
+                prop_assert_eq!(outcome, matcher.compare(&observed, &profile));
+                if outcome.df > 0.0 && outcome.statistic.is_finite() {
+                    let leaky = match rule {
+                        MatchRule::ScaledUpperTail => outcome.statistic <= chi2::inverse_cdf(1.0 - alpha, outcome.df),
+                        MatchRule::PaperLowerTail => outcome.statistic >= chi2::inverse_cdf(alpha, outcome.df),
+                    };
+                    prop_assert_eq!(outcome.his_bin.is_leaky(), leaky, "rule={:?} alpha={} df={}", rule, alpha, outcome.df);
+                }
+            }
+        }
+    }
 }
