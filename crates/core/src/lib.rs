@@ -19,8 +19,6 @@
 //! 4. **Anonymity** ([`anonymity`], [`adversary`]) — the adversary matches
 //!    collected data against a store of profiles; the entropy of the
 //!    resulting posterior gives the degree of anonymity (Figure 5).
-//! 5. **Risk** ([`risk`]) — the combined detector the paper recommends:
-//!    alert as soon as *either* pattern fires.
 //!
 //! Two further metrics from the paper's related work round out the
 //! toolbox: [`timeconfusion`] (Hoh et al.'s time-to-confusion) and
@@ -57,7 +55,6 @@ pub mod poi;
 pub mod pooling;
 pub mod reident;
 pub mod report;
-pub mod risk;
 pub mod similarity;
 pub mod timeconfusion;
 

@@ -76,7 +76,7 @@ fn workspace_is_clean_under_the_allowlist() {
 fn allowlist_count_is_pinned() {
     let root = workspace_root();
     let allowlist = load_allowlist(&root.join("lint-allow.toml")).expect("allowlist parses");
-    const PINNED: usize = 28;
+    const PINNED: usize = 25;
     assert!(
         allowlist.entries.len() <= PINNED,
         "lint-allow.toml grew to {} entries (pinned at {PINNED}); fix the code instead of suppressing",

@@ -19,6 +19,12 @@
 //! signatures, which lets the analysis rebuild Table I without running a
 //! single app. Soundness caveats (reflection, ICC) are in DESIGN.md §10.
 //!
+//! The walk runs over per-method summaries ([`crate::summary`]), not raw
+//! instructions, and one `classify` serves both the uncached path here
+//! and the cached sweep ([`crate::summary::analyze_entry_cached`]); the
+//! independent reference the two are checked against is a plain
+//! instruction-level BFS in `tests/reach_reference.rs`.
+//!
 //! Like the other two measurement channels (manifest XML, dumpsys text),
 //! the analysis consumes the *serialized* IR: each lowered program is
 //! rendered to text and parsed back before being analyzed, and programs
@@ -28,11 +34,12 @@
 use crate::corpus::{MarketApp, ProviderCombo};
 use crate::sdk::SdkLib;
 use crate::stats::ProviderTable;
+use crate::summary::{self, FragmentSummary, MethodSummary};
 use backwatch_android::app::{App, ComponentKind, Manifest};
 use backwatch_android::ir::{self, IrInstr, IrProgram};
 use backwatch_android::permission::{LocationClaim, Permission};
 use backwatch_android::provider::ProviderKind;
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet, VecDeque};
 
 /// The four classes the static analyzer assigns.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -85,12 +92,8 @@ impl std::fmt::Display for ReachClass {
 /// Result of analyzing one program against one manifest.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ProgramAnalysis {
-    /// The assigned class.
-    pub class: ReachClass,
-    /// Providers inferred from reachable sink call sites.
-    pub providers: BTreeSet<ProviderKind>,
-    /// Methods reached by the worklist pass, over all entry points.
-    pub reachable_methods: usize,
+    /// The finding: class, inferred providers, Table I combination.
+    pub finding: ReachFinding,
     /// Declared components whose class is absent from the program.
     pub missing_components: usize,
 }
@@ -141,108 +144,125 @@ impl ReachReport {
     }
 }
 
-/// Worklist BFS from `entries` over the program's call edges. Returns the
-/// set of reached `(class, method)` pairs. Cycles are handled by the
-/// visited set; edges into classes the program does not define (framework
-/// calls, including the sinks themselves) are not traversed.
-fn reachable_from(program: &IrProgram, entries: &[(String, String)]) -> BTreeSet<(String, String)> {
-    let mut bodies: BTreeMap<(&str, &str), &[IrInstr]> = BTreeMap::new();
-    for class in &program.classes {
-        for method in &class.methods {
-            bodies.insert((class.name.as_str(), method.name.as_str()), &method.instrs);
-        }
-    }
-    let mut visited: BTreeSet<(String, String)> = BTreeSet::new();
-    let mut queue: VecDeque<(String, String)> = VecDeque::new();
-    for (c, m) in entries {
-        if bodies.contains_key(&(c.as_str(), m.as_str())) && visited.insert((c.clone(), m.clone())) {
-            queue.push_back((c.clone(), m.clone()));
-        }
-    }
-    while let Some((c, m)) = queue.pop_front() {
-        let Some(instrs) = bodies.get(&(c.as_str(), m.as_str())) else {
-            continue;
-        };
-        for instr in *instrs {
-            if let IrInstr::Invoke { class, method } = instr {
-                if bodies.contains_key(&(class.as_str(), method.as_str())) && visited.insert((class.clone(), method.clone())) {
-                    queue.push_back((class.clone(), method.clone()));
-                }
-            }
-        }
-    }
-    visited
+/// The classifiable surface of one app: method summaries by id, plus an
+/// optional linked fragment folded as its precomputed transitive facts.
+/// The cached sweep builds it from cached class summaries with the
+/// fragment kept apart; the uncached path summarizes every method of the
+/// composed own+fragment program and passes no fragment. [`classify`]
+/// cannot tell the two apart, so the paths agree by construction.
+pub(crate) struct ReachView<'a> {
+    ids: HashMap<(&'a str, &'a str), usize>,
+    methods: Vec<&'a MethodSummary>,
+    classes: HashSet<&'a str>,
+    fragment: Option<&'a FragmentSummary>,
 }
 
-/// Whether any reached method invokes a location sink.
-fn reaches_sink(program: &IrProgram, reached: &BTreeSet<(String, String)>) -> bool {
-    program.classes.iter().any(|c| {
-        c.methods.iter().any(|m| {
-            reached.contains(&(c.name.clone(), m.name.clone()))
-                && m.instrs
-                    .iter()
-                    .any(|i| matches!(i, IrInstr::Invoke { class, method } if ir::is_sink(class, method)))
-        })
-    })
-}
+impl<'a> ReachView<'a> {
+    /// A view over `classes` (each with its per-method summaries, in
+    /// declaration order) and the optional folded `fragment`.
+    pub(crate) fn new(
+        classes: impl IntoIterator<Item = (&'a str, &'a [(String, MethodSummary)])>,
+        fragment: Option<&'a FragmentSummary>,
+    ) -> Self {
+        let mut ids = HashMap::new();
+        let mut methods = Vec::new();
+        let mut names = HashSet::new();
+        for (class, summaries) in classes {
+            names.insert(class);
+            for (method, ms) in summaries {
+                ids.insert((class, method.as_str()), methods.len());
+                methods.push(ms);
+            }
+        }
+        Self {
+            ids,
+            methods,
+            classes: names,
+            fragment,
+        }
+    }
 
-/// Infers the provider set from the reached methods: provider-named
-/// string constants in methods that invoke a `LocationManager` sink, plus
-/// the fused provider whenever a fused-client sink is invoked.
-fn infer_providers(program: &IrProgram, reached: &BTreeSet<(String, String)>) -> BTreeSet<ProviderKind> {
-    let mut providers = BTreeSet::new();
-    for class in &program.classes {
-        for method in &class.methods {
-            if !reached.contains(&(class.name.clone(), method.name.clone())) {
-                continue;
-            }
-            let mut manager_sink = false;
-            let mut fused_sink = false;
-            for instr in &method.instrs {
-                if let IrInstr::Invoke { class: c, method: m } = instr {
-                    if ir::is_sink(c, m) {
-                        manager_sink |= c == ir::LOCATION_MANAGER_CLASS;
-                        fused_sink |= c == ir::FUSED_CLIENT_CLASS;
-                    }
+    fn defines_class(&self, class: &str) -> bool {
+        self.classes.contains(class) || self.fragment.is_some_and(|f| f.defines_class(class))
+    }
+
+    /// Seeds or traverses one call target: own methods enter the BFS,
+    /// fragment methods fold their precomputed transitive facts, and
+    /// everything else is a framework edge (including the sinks
+    /// themselves) and is not traversed.
+    fn touch(
+        &self,
+        class: &str,
+        method: &str,
+        visited: &mut [bool],
+        queue: &mut VecDeque<usize>,
+        sink: &mut bool,
+        providers: &mut BTreeSet<ProviderKind>,
+    ) {
+        if let Some(&id) = self.ids.get(&(class, method)) {
+            if let Some(slot) = visited.get_mut(id) {
+                if !*slot {
+                    *slot = true;
+                    queue.push_back(id);
                 }
             }
-            if manager_sink {
-                for instr in &method.instrs {
-                    if let IrInstr::ConstString(s) = instr {
-                        if let Ok(p) = s.parse::<ProviderKind>() {
-                            providers.insert(p);
-                        }
-                    }
-                }
+        } else if let Some(reach) = self.fragment.and_then(|f| f.reach(class, method)) {
+            *sink |= reach.sink;
+            providers.extend(reach.providers.iter().copied());
+        }
+    }
+
+    /// Worklist BFS from `entries`: does any reached method invoke a
+    /// sink, and which providers do the reached sink call sites evidence
+    /// (provider-named string constants next to a `LocationManager` sink,
+    /// the fused provider for a fused-client sink)? Cycles are handled by
+    /// the visited set.
+    fn explore(&self, entries: &[(String, &str)]) -> (bool, BTreeSet<ProviderKind>) {
+        let mut sink = false;
+        let mut providers = BTreeSet::new();
+        let mut visited = vec![false; self.methods.len()];
+        let mut queue = VecDeque::new();
+        for (class, method) in entries {
+            self.touch(class, method, &mut visited, &mut queue, &mut sink, &mut providers);
+        }
+        while let Some(id) = queue.pop_front() {
+            let Some(&ms) = self.methods.get(id) else { continue };
+            if ms.manager_sink {
+                sink = true;
+                providers.extend(ms.const_providers.iter().copied());
             }
-            if fused_sink {
+            if ms.fused_sink {
+                sink = true;
                 providers.insert(ProviderKind::Fused);
             }
+            for (class, method) in &ms.callees {
+                self.touch(class, method, &mut visited, &mut queue, &mut sink, &mut providers);
+            }
         }
+        (sink, providers)
     }
-    providers
 }
 
-/// Analyzes one program against its manifest: entry-point discovery,
-/// reachability, classification, provider inference.
-#[must_use]
-pub fn analyze_program(manifest: &Manifest, program: &IrProgram) -> ProgramAnalysis {
-    crate::obs::register();
+/// The one place an app is classified: entry-point discovery from the
+/// manifest, reachability per entry bucket, class, provider set, Table I
+/// combination. Both the uncached path and the cached sweep call it, and
+/// it advances each `market.reach.*` classification counter exactly once
+/// per app.
+pub(crate) fn classify(manifest: &Manifest, view: &ReachView<'_>) -> ProgramAnalysis {
     let mut missing_components = 0usize;
 
     // Entry points, bucketed by the lifecycle that invokes them.
-    let mut activity_entries: Vec<(String, String)> = Vec::new();
-    let mut service_entries: Vec<(String, String)> = Vec::new();
-    let mut boot_entries: Vec<(String, String)> = Vec::new();
+    let mut activity_entries: Vec<(String, &str)> = Vec::new();
+    let mut service_entries: Vec<(String, &str)> = Vec::new();
+    let mut boot_entries: Vec<(String, &str)> = Vec::new();
     let boot_permitted = manifest.permissions().contains(&Permission::ReceiveBootCompleted);
     for component in manifest.components() {
         let class = component.class_path(manifest.package());
-        if program.class(&class).is_none() {
+        if !view.defines_class(&class) {
             missing_components += 1;
-            crate::obs::REACH_MISSING_COMPONENTS.inc();
             continue;
         }
-        let bucket: &mut Vec<(String, String)> = match component.kind {
+        let bucket = match component.kind {
             ComponentKind::Activity => &mut activity_entries,
             ComponentKind::Service => &mut service_entries,
             ComponentKind::Receiver if component.is_boot_receiver() && boot_permitted => &mut boot_entries,
@@ -251,57 +271,89 @@ pub fn analyze_program(manifest: &Manifest, program: &IrProgram) -> ProgramAnaly
             ComponentKind::Receiver => &mut activity_entries,
         };
         for m in ir::entry_methods(component.kind) {
-            bucket.push((class.clone(), (*m).to_owned()));
+            bucket.push((class.clone(), m));
         }
     }
 
-    let class = if !manifest.location_claim().declares_location() {
-        // the permission gate: reachable or not, registration would throw
-        ReachClass::NonAccessor
-    } else {
-        let boot = reachable_from(program, &boot_entries);
-        let service = reachable_from(program, &service_entries);
-        let activity = reachable_from(program, &activity_entries);
-        if reaches_sink(program, &boot) {
+    let (class, providers) = if manifest.location_claim().declares_location() {
+        // provider evidence only ever accompanies a reached sink, so the
+        // union over the buckets is exactly the accessor's provider set
+        // (and empty for a non-accessor)
+        let (boot, mut providers) = view.explore(&boot_entries);
+        let (service, p) = view.explore(&service_entries);
+        providers.extend(p);
+        let (activity, p) = view.explore(&activity_entries);
+        providers.extend(p);
+        let class = if boot {
             ReachClass::AutoStart
-        } else if reaches_sink(program, &service) {
+        } else if service {
             ReachClass::BackgroundCapable
-        } else if reaches_sink(program, &activity) {
+        } else if activity {
             ReachClass::ForegroundOnly
         } else {
             ReachClass::NonAccessor
-        }
+        };
+        (class, providers)
+    } else {
+        // the permission gate: reachable or not, registration would throw
+        (ReachClass::NonAccessor, BTreeSet::new())
     };
 
-    let all_entries: Vec<(String, String)> = activity_entries
-        .iter()
-        .chain(&service_entries)
-        .chain(&boot_entries)
-        .cloned()
-        .collect();
-    let reached = reachable_from(program, &all_entries);
-    let providers = if class == ReachClass::NonAccessor {
-        BTreeSet::new()
-    } else {
-        infer_providers(program, &reached)
-    };
+    let provider_vec: Vec<ProviderKind> = providers.iter().copied().collect();
+    let combo = ProviderCombo::from_providers(&provider_vec);
     crate::obs::REACH_APPS_CLASSIFIED.inc();
+    crate::obs::REACH_MISSING_COMPONENTS.add(missing_components as u64);
     if class.accesses_in_background() {
         crate::obs::REACH_BACKGROUND_APPS.inc();
     }
+    if class != ReachClass::NonAccessor && combo.is_none() {
+        crate::obs::REACH_UNKNOWN_COMBO.inc();
+    }
     ProgramAnalysis {
-        class,
-        providers,
-        reachable_methods: reached.len(),
+        finding: ReachFinding {
+            package: manifest.package().to_owned(),
+            class,
+            claim: manifest.location_claim(),
+            providers,
+            combo,
+        },
         missing_components,
     }
+}
+
+/// The finding for an app whose IR text failed to parse: counted in
+/// `market.reach.parse_failures_total` and classified a non-accessor
+/// (the sweep equivalent of a decompilation failure).
+pub(crate) fn unparsed(manifest: &Manifest) -> ReachFinding {
+    crate::obs::REACH_PARSE_FAILURES.inc();
+    ReachFinding {
+        package: manifest.package().to_owned(),
+        class: ReachClass::NonAccessor,
+        claim: manifest.location_claim(),
+        providers: BTreeSet::new(),
+        combo: None,
+    }
+}
+
+/// Analyzes one program against its manifest: every method is
+/// summarized and the program is classified with no fragment folded.
+#[must_use]
+pub fn analyze_program(manifest: &Manifest, program: &IrProgram) -> ProgramAnalysis {
+    crate::obs::register();
+    let classes: Vec<(&str, Vec<(String, MethodSummary)>)> = program
+        .classes
+        .iter()
+        .map(|c| (c.name.as_str(), summary::summarize_methods(c)))
+        .collect();
+    let view = ReachView::new(classes.iter().map(|(c, ms)| (*c, ms.as_slice())), None);
+    classify(manifest, &view)
 }
 
 /// Lowers a corpus entry's own code and, when it links the shared SDK,
 /// wires the fragment's boot call into every launcher activity's
 /// `onCreate` — the build-system step that makes library code reachable
 /// from app startup. The fragment's *classes* are not appended here; see
-/// [`analyze_entry`] for the composed program.
+/// [`compose`] for the composed program.
 pub(crate) fn lower_with_sdk(entry: &MarketApp) -> IrProgram {
     let mut program = ir::lower(&entry.app);
     if let Some(sdk) = &entry.sdk {
@@ -328,83 +380,51 @@ fn wire_sdk(program: &mut IrProgram, manifest: &Manifest, sdk: &SdkLib) {
     }
 }
 
-/// Analyzes one corpus entry end to end, *including* its linked SDK
-/// fragment: the composed program (own classes with the SDK boot call
-/// wired in, plus the fragment's classes) goes through the same text
-/// round-trip and classification as [`analyze_app`]. Entries without an
-/// SDK behave exactly like [`analyze_app`].
+/// The program [`analyze_entry`] classifies: the entry's own code with
+/// the SDK boot call wired in (see [`lower_with_sdk`]), plus the linked
+/// fragment's classes.
 #[must_use]
-pub fn analyze_entry(entry: &MarketApp) -> ReachFinding {
-    analyze_entry_inner(entry).0
-}
-
-/// [`analyze_entry`] plus whether the IR text round-trip failed.
-pub(crate) fn analyze_entry_inner(entry: &MarketApp) -> (ReachFinding, bool) {
-    crate::obs::register();
+pub fn compose(entry: &MarketApp) -> IrProgram {
     let mut program = lower_with_sdk(entry);
     if let Some(sdk) = &entry.sdk {
         program.classes.extend(sdk.program().classes.iter().cloned());
     }
-    let (finding, parse_failed, _) = finish_app_analysis(entry.app.manifest(), &ir::render(&program));
-    (finding, parse_failed)
+    program
+}
+
+/// Analyzes one corpus entry end to end, *including* its linked SDK
+/// fragment: the [`compose`]d program goes through the same text
+/// round-trip and classification as [`analyze_app`]. Entries without an
+/// SDK behave exactly like [`analyze_app`].
+#[must_use]
+pub fn analyze_entry(entry: &MarketApp) -> ReachFinding {
+    analyze_entry_parsed(entry).0
+}
+
+/// [`analyze_entry`] plus the parsed program (`None` when the IR text
+/// round-trip failed), so the taint oracle can refine the finding
+/// without a second parse.
+pub(crate) fn analyze_entry_parsed(entry: &MarketApp) -> (ReachFinding, Option<IrProgram>) {
+    crate::obs::register();
+    finish_app_analysis(entry.app.manifest(), &ir::render(&compose(entry)))
 }
 
 /// Analyzes one app end to end: lower to IR, round-trip through the text
 /// format, analyze. A program that fails the round-trip is counted and
-/// classified as a non-accessor (the sweep equivalent of a decompilation
-/// failure).
+/// classified as a non-accessor.
 #[must_use]
 pub fn analyze_app(app: &App) -> ReachFinding {
-    analyze_app_inner(app).0
-}
-
-/// [`analyze_app`] plus whether the IR text round-trip failed.
-fn analyze_app_inner(app: &App) -> (ReachFinding, bool) {
     crate::obs::register();
-    let (finding, parse_failed, _) = finish_app_analysis(app.manifest(), &ir::render(&ir::lower(app)));
-    (finding, parse_failed)
+    finish_app_analysis(app.manifest(), &ir::render(&ir::lower(app))).0
 }
 
 /// The shared tail of [`analyze_app`] and [`analyze_entry`]: parse the
-/// rendered IR text and classify it against the manifest. Also hands the
-/// parsed program back so the taint oracle can refine the finding
-/// without a second parse (and without a second chance to diverge).
-pub(crate) fn finish_app_analysis(manifest: &Manifest, text: &str) -> (ReachFinding, bool, Option<IrProgram>) {
-    let (analysis, parse_failed, parsed) = match ir::parse(text) {
-        Ok(program) => {
-            let analysis = analyze_program(manifest, &program);
-            (analysis, false, Some(program))
-        }
-        Err(_) => {
-            crate::obs::REACH_PARSE_FAILURES.inc();
-            (
-                ProgramAnalysis {
-                    class: ReachClass::NonAccessor,
-                    providers: BTreeSet::new(),
-                    reachable_methods: 0,
-                    missing_components: 0,
-                },
-                true,
-                None,
-            )
-        }
-    };
-    let provider_vec: Vec<ProviderKind> = analysis.providers.iter().copied().collect();
-    let combo = ProviderCombo::from_providers(&provider_vec);
-    if analysis.class != ReachClass::NonAccessor && combo.is_none() {
-        crate::obs::REACH_UNKNOWN_COMBO.inc();
+/// rendered IR text and classify it against the manifest.
+fn finish_app_analysis(manifest: &Manifest, text: &str) -> (ReachFinding, Option<IrProgram>) {
+    match ir::parse(text) {
+        Ok(program) => (analyze_program(manifest, &program).finding, Some(program)),
+        Err(_) => (unparsed(manifest), None),
     }
-    (
-        ReachFinding {
-            package: manifest.package().to_owned(),
-            class: analysis.class,
-            claim: manifest.location_claim(),
-            providers: analysis.providers,
-            combo,
-        },
-        parse_failed,
-        parsed,
-    )
 }
 
 /// Sweeps the whole corpus and aggregates the static funnel + Table I.
@@ -415,8 +435,8 @@ pub fn analyze(corpus: &[MarketApp]) -> ReachReport {
     let findings: Vec<ReachFinding> = corpus
         .iter()
         .map(|e| {
-            let (f, failed) = analyze_entry_inner(e);
-            parse_failures += usize::from(failed);
+            let (f, parsed) = analyze_entry_parsed(e);
+            parse_failures += usize::from(parsed.is_none());
             f
         })
         .collect();
@@ -486,8 +506,8 @@ mod tests {
             ],
         };
         let a = analyze_program(&manifest, &program);
-        assert_eq!(a.class, ReachClass::NonAccessor);
-        assert!(a.providers.is_empty());
+        assert_eq!(a.finding.class, ReachClass::NonAccessor);
+        assert!(a.finding.providers.is_empty());
     }
 
     #[test]
@@ -505,7 +525,7 @@ mod tests {
                 )],
             )],
         };
-        assert_eq!(analyze_program(&manifest, &program).class, ReachClass::NonAccessor);
+        assert_eq!(analyze_program(&manifest, &program).finding.class, ReachClass::NonAccessor);
     }
 
     #[test]
@@ -526,7 +546,7 @@ mod tests {
                 ],
             )],
         };
-        assert_eq!(analyze_program(&manifest, &program).class, ReachClass::NonAccessor);
+        assert_eq!(analyze_program(&manifest, &program).finding.class, ReachClass::NonAccessor);
     }
 
     #[test]
@@ -543,7 +563,7 @@ mod tests {
         };
         let a = analyze_program(&manifest, &program);
         assert_eq!(a.missing_components, 1);
-        assert_eq!(a.class, ReachClass::NonAccessor);
+        assert_eq!(a.finding.class, ReachClass::NonAccessor);
     }
 
     #[test]
@@ -585,8 +605,8 @@ mod tests {
             )],
         };
         let a = analyze_program(&manifest, &program);
-        assert_eq!(a.class, ReachClass::ForegroundOnly);
-        assert_eq!(a.providers, BTreeSet::from([ProviderKind::Network]));
+        assert_eq!(a.finding.class, ReachClass::ForegroundOnly);
+        assert_eq!(a.finding.providers, BTreeSet::from([ProviderKind::Network]));
     }
 
     fn app_with(behavior: LocationBehavior, claim: LocationClaim, service: bool, boot: bool) -> App {

@@ -588,19 +588,14 @@ pub struct TaintAnalysis {
     pub parse_failed: bool,
 }
 
-/// Full oracle for one corpus entry: compose own+fragment code exactly
-/// like [`crate::reach::analyze_entry`], classify reachability, then
-/// classify taint over the same parsed program. The cached counterpart
-/// is `summary::analyze_entry_cached`, pinned bit-identical (finding,
-/// taint, and telemetry) by the differential suites.
+/// Full oracle for one corpus entry: classify reachability through
+/// [`crate::reach::analyze_entry`]'s own path, then classify taint over
+/// the program that path parsed. The cached counterpart is
+/// `summary::analyze_entry_cached`, pinned bit-identical (finding, taint,
+/// and telemetry) by the differential suites.
 #[must_use]
 pub fn analyze_entry(entry: &MarketApp) -> TaintAnalysis {
-    crate::obs::register();
-    let mut program = crate::reach::lower_with_sdk(entry);
-    if let Some(sdk) = &entry.sdk {
-        program.classes.extend(sdk.program().classes.iter().cloned());
-    }
-    let (finding, parse_failed, parsed) = crate::reach::finish_app_analysis(entry.app.manifest(), &ir::render(&program));
+    let (finding, parsed) = crate::reach::analyze_entry_parsed(entry);
     let taint = match &parsed {
         Some(p) => {
             let lowered = lower_ops(p);
@@ -612,7 +607,7 @@ pub fn analyze_entry(entry: &MarketApp) -> TaintAnalysis {
     TaintAnalysis {
         finding,
         taint,
-        parse_failed,
+        parse_failed: parsed.is_none(),
     }
 }
 
@@ -668,7 +663,8 @@ mod tests {
         }
         // a sanitizer caps raw at its degree and never sharpens
         for d in 0..=ir::MAX_SANITIZER_DEGREE {
-            assert_eq!(T_RAW.min(sanitized(d)), 1 + d);
+            assert_eq!(sanitized(d), 1 + d);
+            assert!(sanitized(d) < T_RAW, "a sanitized value sits strictly below raw");
             assert_eq!(1u8.min(sanitized(d)), 1, "coarser data stays coarse");
         }
     }
@@ -855,7 +851,7 @@ mod tests {
             )],
         };
         let fragment = FragTaint::build(&frag);
-        let own = vec![(
+        let own = [(
             "com/t/app/MainActivity".to_owned(),
             "onCreate".to_owned(),
             ops_for_instrs(&[source(), IrInstr::MoveResult, invoke(frag_class, "ship")]),

@@ -59,7 +59,7 @@ fn fixture_classes_match_their_directives() {
         };
         let program = ir::parse(&text).unwrap_or_else(|e| panic!("{name}: #class fixture must parse: {e}"));
         let analysis = reach::analyze_program(&manifest, &program);
-        assert_eq!(analysis.class.name(), want, "{name}: wrong reachability class");
+        assert_eq!(analysis.finding.class.name(), want, "{name}: wrong reachability class");
         classified += 1;
 
         // every declared component missing from the program is counted

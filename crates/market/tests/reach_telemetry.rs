@@ -1,7 +1,12 @@
 //! Telemetry-differential check: the cached sweep must advance the
-//! `market.reach.*` counters exactly as the uncached oracle does for the
+//! `market.reach.*` counters exactly as the uncached path does for the
 //! same corpus, and the cache/incremental counters must reconcile with
-//! the sweep's own tallies. This file holds a single `#[test]` on
+//! the sweep's own tallies. The classification counters now agree by
+//! structure — both paths count inside the one `reach::classify` (and
+//! parse failures inside `reach::unparsed`) — so the parity half guards
+//! against a path that skips or repeats that call; the reconciliation
+//! half still guards the cache hit/miss and incremental re-analysis
+//! counters, which live outside it. This file holds a single `#[test]` on
 //! purpose: the counters are process-global, so the deltas are only
 //! meaningful when nothing else in the binary runs concurrently.
 

@@ -63,7 +63,7 @@ fn fixture_taint_classes_match_their_directives() {
             let fragment = backwatch_market::sdk::shared();
             program.classes.extend(fragment.program().classes.iter().cloned());
         }
-        let reach_class = reach::analyze_program(&manifest, &program).class;
+        let reach_class = reach::analyze_program(&manifest, &program).finding.class;
         let taint_class = taint::analyze_program(&manifest, &program, reach_class);
         assert_eq!(taint_class.label(), want, "{name}: wrong taint class");
         assert!(

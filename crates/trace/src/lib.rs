@@ -39,12 +39,10 @@ pub mod chunks;
 pub mod coarsen;
 pub mod dataset;
 pub mod interleave;
-pub mod modes;
 pub mod obs;
 pub mod point;
 pub mod projected;
 pub mod sampling;
-pub mod simplify;
 pub mod soa;
 pub mod stats;
 pub mod synth;

@@ -124,26 +124,3 @@ fn energy_ranks_policies_identically() {
     assert!((energies[0] - energies[1]).abs() < 1e-9);
     assert!((energies[0] - energies[2]).abs() < 1e-9);
 }
-
-#[test]
-fn transport_modes_of_a_synthetic_day_are_plausible() {
-    use backwatch::trace::modes::{segment_modes, TransportMode};
-    let user = victim();
-    let segments = segment_modes(&user.trace, Seconds::new(60));
-    assert!(!segments.is_empty());
-    // a daily routine contains both dwells and movement
-    let still_secs: i64 = segments
-        .iter()
-        .filter(|s| s.mode == TransportMode::Still)
-        .map(|s| s.duration_secs())
-        .sum();
-    let moving_secs: i64 = segments
-        .iter()
-        .filter(|s| s.mode != TransportMode::Still)
-        .map(|s| s.duration_secs())
-        .sum();
-    assert!(still_secs > 0, "dwell time must appear");
-    assert!(moving_secs > 0, "commutes must appear");
-    // dwell-heavy recording: stillness dominates
-    assert!(still_secs > moving_secs);
-}

@@ -107,30 +107,6 @@ fn diary_and_mobility_stats_tell_one_story() {
     assert!(diary.days_covered() >= cfg.days as usize - 1);
 }
 
-#[test]
-fn simplification_preserves_poi_extraction() {
-    use backwatch::trace::simplify::douglas_peucker;
-    let (_, users) = population();
-    let user = &users[1];
-    let params = ExtractorParams::paper_set1();
-    let extractor = SpatioTemporalExtractor::new(params);
-    let full = extractor.extract(&user.trace);
-    // simplify well below the PoI radius: dwell geometry survives
-    let simplified = douglas_peucker(&user.trace, Meters::new(10.0));
-    assert!(
-        simplified.len() < user.trace.len() / 2,
-        "simplification should drop redundancy"
-    );
-    let slim = extractor.extract(&simplified);
-    // dwells survive as stays (counts may merge/split slightly)
-    assert!(
-        (slim.len() as i64 - full.len() as i64).abs() <= full.len() as i64 / 3,
-        "full {} vs simplified {}",
-        full.len(),
-        slim.len()
-    );
-}
-
 // --- degenerate Deg_anonymity regressions -------------------------------
 //
 // The anonymity machinery must never panic or emit NaN on hostile inputs:
